@@ -51,7 +51,7 @@ from .sring import (
     padic_valuation,
     sup_norm,
 )
-from .volume import Region, contains, volume_exact, volume_monte_carlo
+from .volume import Region, contains, mc_agrees, volume_exact, volume_monte_carlo
 
 
 def _rand_fraction(rng, lo=-8, hi=8, den=6) -> Fraction:
@@ -257,9 +257,8 @@ def check_volume_oracle(rng: random.Random, regions: int = 6, samples: int = 20_
         reg = random_region(rng)
         res = volume_exact(reg)
         mc = volume_monte_carlo(reg, samples, seed=rng.randrange(2**32))
-        tol = 4 * mc.std_error + float(res.total_error) + 1e-9
-        if abs(float(res.total) - mc.estimate) > tol:
-            return False, f"region {i}: exact {float(res.total)} vs mc {mc.estimate} (4se={4*mc.std_error:.4g})"
+        if not mc_agrees(res, mc):
+            return False, f"region {i}: exact {float(res.total)} vs mc {mc.estimate}, beyond 4 SE"
     return True, f"{regions} regions x {samples} samples"
 
 

@@ -34,7 +34,7 @@ from .counting import (
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
 from .sring import REAL_PLACE, NormProfile, PlaceSet
-from .volume import Region, volume_exact, volume_monte_carlo
+from .volume import Region, mc_agrees, volume_exact, volume_monte_carlo
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
 
@@ -420,7 +420,7 @@ def _run_volume(config) -> RunResult:
     region = Region(config.psi, prof, config.places)
     res = volume_exact(region)
     mc = volume_monte_carlo(region, config.mc_samples, _derive(config.seed, "mc"))
-    agrees = abs(float(res.total) - mc.estimate) <= 4 * mc.std_error + float(res.total_error) + 1e-9
+    agrees = mc_agrees(res, mc)
     summary = {
         "mode": "volume",
         "exact": str(res.total),

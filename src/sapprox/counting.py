@@ -226,6 +226,39 @@ class _CrtCache:
         return r, M
 
 
+def _congruence_pairs(
+    stage: Sequence[tuple[int, int, Sequence[Fraction]]], rows: int
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The finite-place conditions on p as congruences on b = D * p.
+
+    ``stage`` holds, per finite place, (p, j, c): the threshold exponent j
+    and the rational targets c_i, one per row, that p_i must approach to
+    within p^(-j).  The clearing exponent e_p = max(0, -min_i v_p(c_i), -j)
+    makes D = prod p^(e_p) a common denominator, and each place with
+    kappa = j + e_p > 0 contributes b_i = -D c_i (mod p^kappa).  Returns
+    (D, pairs_by_row) with the (residue, modulus) pairs to CRT-fold per row.
+    """
+    D = 1
+    cleared = []
+    for p, j, c in stage:
+        worst = max((-padic_valuation(ci, p) for ci in c if ci != 0), default=0)
+        e = max(0, worst, -j)
+        cleared.append((p, j + e, c))
+        D *= p**e
+    pairs_by_row: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for p, kap, c in cleared:
+        if kap <= 0:
+            continue
+        modp = p**kap
+        for i in range(rows):
+            x = D * c[i]
+            if x == 0:
+                pairs_by_row[i].append((0, modp))
+            else:
+                pairs_by_row[i].append(((-x.numerator * pow(x.denominator, -1, modp)) % modp, modp))
+    return D, pairs_by_row
+
+
 # --------------------------------------------------------------------------
 # the fast counter
 
@@ -246,18 +279,6 @@ def count_solutions(req: CountRequest) -> int:
     for c in _per_q_counts(req):
         total += c
     return total
-
-
-def count_solutions_chunked(req: CountRequest, chunk_size: int) -> int:
-    """Chunked evaluation: identical result for any chunk size (the per-q
-    counts are summed associatively), demonstrating the parallel split."""
-    counts = _per_q_counts(req)
-    total = 0
-    while True:
-        chunk = list(itertools.islice(counts, chunk_size))
-        if not chunk:
-            return total
-        total += sum(chunk)
 
 
 def _per_q_counts(req: CountRequest) -> Iterator[int]:
@@ -489,7 +510,7 @@ def dirichlet_solve(
         consts.update(constants)
 
     v_real = Fraction(consts[REAL_PLACE]) / profile.t_inf**n
-    j_by_place = {}
+    fin = []  # (p, j, K, finite rows of A as exact rationals)
     for p in places.primes:
         k = profile.exponent(p)
         C = Fraction(consts[p])
@@ -497,7 +518,8 @@ def dirichlet_solve(
         j = math.ceil((k * n - math.log(C) / math.log(p)) / m) - 2
         while Fraction(p) ** (k * n - j * m) > C:
             j += 1
-        j_by_place[p] = j
+        rows = [[matrix.finite_fraction(p, i, jj) for jj in range(n)] for i in range(m)]
+        fin.append((p, j, matrix.K(p), rows))
 
     u_fin = {p: e for p, e in profile.fin_exp}
     Dq = 1
@@ -505,6 +527,7 @@ def dirichlet_solve(
         Dq *= p ** u_fin[p]
     B = (Dq * profile.t_inf.numerator) // profile.t_inf.denominator
 
+    cache = _CrtCache()
     tested = 0
     for a in _by_height(n, B):
         tested += 1
@@ -512,38 +535,16 @@ def dirichlet_solve(
             raise BudgetExceeded("Dirichlet search budget exceeded")
         q = tuple(Fraction(aj, Dq) for aj in a)
         g = [sum(matrix.real[i][j] * q[j] for j in range(n)) for i in range(m)]
-        # first pass: clearing exponents (the congruences need the final D)
         stage = []
-        D = 1
-        for p in places.primes:
-            j = j_by_place[p]
-            c = [
-                sum(matrix.finite_fraction(p, i, jj) * q[jj] for jj in range(n))
-                for i in range(m)
-            ]
-            worst = max((-padic_valuation(ci, p) for ci in c if ci != 0), default=0)
-            e = max(0, int(worst), -j)
-            stage.append((p, j, e, c))
-            D *= p**e
+        for p, j, K, rows in fin:
             mv = min_valuation(q, p)
             kq = -mv if mv is not None else 0
             needed = max(j, 0) + max(kq, 0)
-            if needed > matrix.K(p):
-                raise InsufficientPrecision(p, needed, matrix.K(p))
-        pairs_by_coord: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for p, j, e, c in stage:
-            kap = j + e
-            if kap > 0:
-                modp = p**kap
-                for i in range(m):
-                    x = D * c[i]
-                    if x == 0:
-                        pairs_by_coord[i].append((0, modp))
-                    else:
-                        r = (-x.numerator * pow(x.denominator, -1, modp)) % modp
-                        pairs_by_coord[i].append((r, modp))
+            if needed > K:
+                raise InsufficientPrecision(p, needed, K)
+            stage.append((p, j, [sum(row[jj] * q[jj] for jj in range(n)) for row in rows]))
+        D, pairs_by_coord = _congruence_pairs(stage, m)
 
-        cache = _CrtCache()
         bvec = []
         for i in range(m):
             gi = D * g[i]
@@ -910,9 +911,12 @@ def x_region_volume_mc(
         kappa = -mv if mv is not None else None
         j = psi.finite_fn(p).threshold_exponent(kappa)
         depth = j + 2 * max(kappa or 0, 0) + 1
-        fin_data.append((p, j, depth))
+        fin_data.append((p, j, p**depth))
     t_real = sup_norm(qvec) ** n
+    v = psi.real.value_exact(t_real)
+    trip = None if v is None else as_root_triple(v)
     res = 2**53
+    cache = _CrtCache()
 
     rng = _random.Random(
         int.from_bytes(hashlib.sha256(f"{seed}/xq".encode()).digest()[:8], "big")
@@ -921,32 +925,15 @@ def x_region_volume_mc(
     for _ in range(samples):
         xs_real = [Fraction(rng.randrange(res), res) for _ in range(n)]
         sigma_real = sum(x * q for x, q in zip(xs_real, qvec))
-        pairs = []
-        D = 1
         stage = []
-        for p, j, depth in fin_data:
-            xs_p = [rng.randrange(p**depth) for _ in range(n)]
-            sigma_p = sum(x * q for x, q in zip(xs_p, qvec))
-            vp = padic_valuation(sigma_p, p)
-            e = max(0, int(-vp) if sigma_p != 0 else 0, -j)
-            stage.append((p, j, e, sigma_p))
-            D *= p**e
-        for p, j, e, sigma_p in stage:
-            kap = j + e
-            if kap > 0:
-                modp = p**kap
-                x = D * sigma_p
-                if x == 0:
-                    pairs.append((0, modp))
-                else:
-                    pairs.append(
-                        ((-x.numerator * pow(x.denominator, -1, modp)) % modp, modp)
-                    )
-        r, M = _CrtCache().crt_fold(pairs)
+        for p, j, residues in fin_data:
+            xs_p = [rng.randrange(residues) for _ in range(n)]
+            stage.append((p, j, [sum(x * q for x, q in zip(xs_p, qvec))]))
+        D, (pairs,) = _congruence_pairs(stage, 1)
+        r, M = cache.crt_fold(pairs)
         c = D * sigma_real
-        v = psi.real.value_exact(t_real)
-        if v is not None:
-            vn, vd, w = as_root_triple(v)
+        if trip is not None:
+            vn, vd, w = trip
             E = m * w
             Ky = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
         else:

@@ -180,9 +180,7 @@ def congruent_mod(
 def count_in_ap(lo: Fraction, hi: Fraction, residue: int, modulus: int) -> int:
     """#{b in Z : lo <= b <= hi, b = residue (mod modulus)}, exact closed form."""
     lo, hi = Fraction(lo), Fraction(hi)
-    return _kernel.count_in_ap(
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator, residue, modulus
-    )
+    return _kernel.count_in_ap_int(math.ceil(lo), math.floor(hi), residue, modulus)
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,22 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     return MonteCarloResult(est, se, hits, samples, box_vol)
 
 
+def mc_agrees(exact: VolumeResult, mc: MonteCarloResult) -> bool:
+    """Whether the exact volume lies within 4 standard errors of the Monte
+    Carlo estimate.
+
+    The standard error is the estimator's at the exact volume, not the
+    plug-in ``mc.std_error``: that one is 0 whenever every sample hits, so
+    a region filling all but 1e-4 of its box would fail about one time in
+    eight at 20k samples with a correct volume.
+    """
+    box = float(mc.box_volume)
+    total = float(exact.total)
+    ratio = min(max(total / box, 0.0), 1.0)
+    se = box * math.sqrt(ratio * (1 - ratio) / mc.samples)
+    return abs(total - mc.estimate) <= 4 * se + float(exact.total_error) + 1e-9
+
+
 def _capped_val(residue: int, p: int, depth: int) -> int:
     """Valuation of a residue known mod p**depth, capped at depth."""
     if residue == 0:

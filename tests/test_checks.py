@@ -1,0 +1,41 @@
+"""The Monte Carlo volume check: agreement measured at the exact volume."""
+
+import random
+from fractions import Fraction
+
+from sapprox.approx import psi_one
+from sapprox.checks import check_volume_oracle
+from sapprox.sring import NormProfile, PlaceSet
+from sapprox.volume import MonteCarloResult, Region, mc_agrees, volume_exact
+
+S2 = PlaceSet((2,))
+
+
+def all_hits(box: Fraction, samples: int = 20_000) -> MonteCarloResult:
+    """An estimate from a run in which every sample hit: plug-in SE 0."""
+    return MonteCarloResult(float(box), 0.0, samples, samples, box)
+
+
+class TestMcAgrees:
+    # the volume-16 region: S={inf,2}, m=n=1, psi=1, T=(2,2)
+    exact = volume_exact(Region(psi_one(S2, 1, 1), NormProfile.of(Fraction(2), {2: 1}), S2))
+
+    def test_all_hits_on_a_region_just_below_the_box(self):
+        box = self.exact.total / Fraction(9999, 10000)
+        assert mc_agrees(self.exact, all_hits(box))
+
+    def test_all_hits_on_a_clearly_smaller_region(self):
+        box = self.exact.total / Fraction(999, 1000)
+        assert not mc_agrees(self.exact, all_hits(box))
+
+    def test_estimate_far_from_the_volume(self):
+        box = 2 * self.exact.total
+        mc = MonteCarloResult(float(box) * 0.45, 0.0, 9_000, 20_000, box)
+        assert not mc_agrees(self.exact, mc)
+
+
+def test_volume_oracle_check_on_a_region_every_sample_hits():
+    # Random(177) draws a region filling all but 1.05e-4 of its box, and
+    # 20k samples of it all hit
+    ok, detail = check_volume_oracle(random.Random(177), regions=1)
+    assert ok, detail

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sapprox.approx import ApproxCollection, FiniteApproxFunction, PowerLaw, psi_one
+from sapprox.approx import ApproxCollection, FiniteApproxFunction, LogLaw, PowerLaw, psi_one
 from sapprox.checks import _count_rescaled, check_discrepancy_sandwich
 from sapprox.counting import (
     AffineLatticeSpec,
@@ -16,7 +16,6 @@ from sapprox.counting import (
     TruncatedMatrix,
     count_solutions,
     count_solutions_bruteforce,
-    count_solutions_chunked,
     default_dirichlet_constants,
     dirichlet_solve,
     discrepancy,
@@ -27,7 +26,13 @@ from sapprox.counting import (
     x_region_bound,
     x_region_volume_mc,
 )
-from sapprox.sampler import SamplerConfig, random_request, sample_matrix
+from sapprox.sampler import (
+    SamplerConfig,
+    random_places,
+    random_psi,
+    random_request,
+    sample_matrix,
+)
 from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
 from sapprox.volume import Region, volume_exact
 
@@ -114,14 +119,6 @@ class TestCountSolutions:
         for _ in range(60):
             req = random_request(rng)
             assert count_solutions(req) == count_solutions_bruteforce(req)
-
-    def test_chunked_equals_plain(self):
-        rng = random.Random(55)
-        for _ in range(5):
-            req = random_request(rng)
-            expected = count_solutions(req)
-            for chunk in (1, 3, 97):
-                assert count_solutions_chunked(req, chunk) == expected
 
     def test_residue_partition_small(self):
         cfg = SamplerConfig.of(17, (1, 1), S2, {2: 12}, 2**12)
@@ -365,3 +362,86 @@ class TestFiberRegion:
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):
             x_region_bound((Fraction(0),), psi_one(S2, 1, 1), S2)
+
+
+def pinned_dirichlet_systems():
+    """20 seeded Dirichlet systems, every fourth with unit constants."""
+    rng = random.Random(20261018)
+    for i in range(20):
+        places = random_places(rng)
+        unit = i % 4 == 3
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 3 - m) if unit else rng.randint(1, 2)
+        cfg = SamplerConfig.of(
+            rng.randrange(2**32), (m, n), places, {p: 14 for p in places.primes}, 2**12
+        )
+        if unit:
+            profile = NormProfile.of(Fraction(rng.randint(1, 6)), {p: m for p in places.primes})
+            constants = {REAL_PLACE: Fraction(1), **{p: Fraction(1) for p in places.primes}}
+        else:
+            profile = NormProfile.of(
+                Fraction(rng.randint(1, 8)), {p: rng.randint(0, 2) for p in places.primes}
+            )
+            constants = None
+        yield sample_matrix(cfg), profile, places, constants
+
+
+def pinned_fibres():
+    """10 seeded fibres X_q, every fifth with a log-law real part."""
+    rng = random.Random(20261019)
+    for i in range(10):
+        places = random_places(rng)
+        m, n = rng.randint(1, 2), rng.randint(1, 2)
+        psi = random_psi(rng, places, m, n)
+        if i % 5 == 4:  # no closed-form real values: the max_root_leq path
+            fin = {p: psi.finite_fn(p) for p in places.primes}
+            psi = ApproxCollection.of(LogLaw(Fraction(1), Fraction(2)), fin, m, n)
+        D = places.radical or 1
+        q = tuple(Fraction(rng.randint(-12, 12), rng.choice([1, D])) for _ in range(n))
+        if not any(q):
+            q = (Fraction(1),) + q[1:]
+        yield q, psi, places, rng.randrange(2**32)
+
+
+class TestPinnedOutputs:
+    """Exact outputs of the Dirichlet solver and the fiber Monte Carlo on
+    seeded inputs: a change to their shared congruence step that moves any
+    solution or any hit shows here."""
+
+    DIRICHLET = [
+        (("0", "0"), ("-1",)),
+        (("1",), ("0", "0")),
+        (("6",), ("-7",)),
+        (("1",), ("0",)),
+        (("-11/18",), ("-1/9",)),
+        (("1/2",), ("0", "-1")),
+        (("1/3", "0"), ("0",)),
+        (("1/4", "1/2"), ("-1/4",)),
+        (("1/3", "0"), ("0",)),
+        (("2",), ("-3",)),
+        (("1/2", "0"), ("-1",)),
+        (("1/6", "-4/9"), ("-5/36",)),
+        (("0",), ("-1",)),
+        (("1", "0"), ("-1",)),
+        (("4/3",), ("-1", "-1")),
+        (("1/2",), ("-3/2",)),
+        (("0", "0"), ("-1",)),
+        (("1", "0"), ("0",)),
+        (("1/6", "0"), ("0",)),
+        (("0", "1"), ("-1",)),
+    ]
+    FIBRE_HITS = [400, 400, 232, 400, 185, 346, 400, 3, 400, 22]
+
+    def test_dirichlet_solutions(self):
+        got = []
+        for A, profile, places, constants in pinned_dirichlet_systems():
+            pvec, qvec = dirichlet_solve(A, profile, places, constants)
+            got.append((tuple(map(str, pvec)), tuple(map(str, qvec))))
+        assert got == self.DIRICHLET
+
+    def test_fibre_hits(self):
+        got = [
+            x_region_volume_mc(q, psi, places, 400, seed)[2]
+            for q, psi, places, seed in pinned_fibres()
+        ]
+        assert got == self.FIBRE_HITS
