@@ -25,7 +25,7 @@ from typing import Mapping
 import mpmath
 
 from . import _kernel
-from .sring import PlaceSet
+from .sring import PlaceSet, _is_prime
 
 
 class UndecidedComparison(ArithmeticError):
@@ -71,10 +71,6 @@ def as_root_triple(v: Fraction | RootVal) -> tuple[int, int, int]:
     if isinstance(v, RootVal):
         return v.num, v.den, v.root
     return v.numerator, v.denominator, 1
-
-
-def value_float(v) -> float:
-    return float(v)
 
 
 def fraction_leq(lhs: Fraction, v: Fraction | RootVal) -> bool:
@@ -640,7 +636,7 @@ class FiniteApproxFunction:
     tail: tuple = ("constant",)
 
     def __post_init__(self):
-        if not _is_prime_int(self.p):
+        if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
@@ -711,17 +707,6 @@ class FiniteApproxFunction:
     @classmethod
     def from_json(cls, obj: Mapping, m: int, n: int) -> "FiniteApproxFunction":
         return cls(obj["p"], m, n, tuple(obj.get("head", ())), tuple(obj.get("tail", ("constant",))))
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each check runs a randomized (but seeded) batch of a module invariant and
 returns (passed, detail).  The CLI prints one line per suite and exits
-nonzero if any fails; the pytest acceptance module reuses several of these
-with larger budgets.
+nonzero if any fails.  pytest runs all of them through `sapprox verify`, and
+the unit and acceptance tests call them with their own seeds and budgets.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ import math
 import random
 from fractions import Fraction
 
-from . import _kernel
 from .approx import (
-    ApproxCollection,
     FiniteApproxFunction,
     PowerLaw,
     UserStep,
+    evaluate,
     inflate,
     psi_one,
 )
@@ -46,6 +45,7 @@ from .sring import (
     NormProfile,
     PlaceSet,
     congruent_mod,
+    count_in_ap,
     enumerate_box,
     min_valuation,
     padic_valuation,
@@ -59,12 +59,16 @@ def _rand_fraction(rng, lo=-8, hi=8, den=6) -> Fraction:
 
 
 def check_kernel_ap(rng: random.Random, rounds: int = 1000):
-    """count_in_ap equals loop counting on random instances."""
+    """count_in_ap (ceil and floor, then the kernel's integer count) equals
+    loop counting on random rational endpoints, integer ones included."""
     for _ in range(rounds):
-        lo, hi = rng.randint(-300, 300), rng.randint(-300, 300)
+        lo = Fraction(rng.randint(-300, 300), rng.randint(1, 8))
+        hi = Fraction(rng.randint(-300, 300), rng.randint(1, 8))
         r, M = rng.randint(-40, 40), rng.randint(1, 25)
-        expected = sum(1 for b in range(min(lo, hi), max(lo, hi) + 1) if lo <= b <= hi and (b - r) % M == 0)
-        got = _kernel.count_in_ap_int(lo, hi, r, M)
+        expected = sum(
+            1 for b in range(math.floor(lo), math.ceil(hi) + 1) if lo <= b <= hi and (b - r) % M == 0
+        )
+        got = count_in_ap(lo, hi, r, M)
         if got != expected:
             return False, f"count_in_ap({lo},{hi},{r},{M}) = {got} != {expected}"
     return True, f"{rounds} instances"
@@ -211,17 +215,13 @@ def check_inflate_sandwich(rng: random.Random, rounds: int = 30):
         back = inflate(inflate(psi, eps, +1), eps, -1)
         for _ in range(8):
             t = Fraction(rng.randint(1, 50), rng.randint(1, 4))
-            v0 = _real_value(psi, t)
-            if not (_real_value(down, t) <= v0 + 1e-12 and v0 <= _real_value(up, t) + 1e-12):
+            v0 = float(evaluate(psi.real, t))
+            lo, hi = float(evaluate(down.real, t)), float(evaluate(up.real, t))
+            if not (lo <= v0 + 1e-12 and v0 <= hi + 1e-12):
                 return False, f"sandwich fails at t={t}"
-            if abs(_real_value(back, t) - v0) > 1e-12:
+            if abs(float(evaluate(back.real, t)) - v0) > 1e-12:
                 return False, f"inverse pair fails at t={t}"
     return True, f"{rounds} collections"
-
-
-def _real_value(psi: ApproxCollection, t: Fraction) -> float:
-    v = psi.real.value_exact(t)
-    return float(v) if v is not None else psi.real.value_float(t)
 
 
 def random_region(rng: random.Random, max_t: int = 4) -> Region:
@@ -287,7 +287,6 @@ def check_volume_monotone(rng: random.Random, rounds: int = 20):
 
 def check_scaling_exponent(rng: random.Random, rounds: int = 12):
     """vol(E_{psi+-}(T+-)) = (1+eps)**(+-2) vol(E_psi(T)), any (m, n)."""
-    observed = []
     for _ in range(rounds):
         places = random_places(rng)
         m, n = rng.randint(1, 3), rng.randint(1, 3)
@@ -303,7 +302,6 @@ def check_scaling_exponent(rng: random.Random, rounds: int = 12):
             expect = base * (1 + eps) ** (2 * sign)
             if v2 != expect:
                 return False, f"scaling fails: m={m} n={n} eps={eps} sign={sign}: {v2} != {expect}"
-            observed.append(2 * sign)
     return True, f"exponent +-2 exact on {rounds} systems (all tested m, n)"
 
 
@@ -340,15 +338,18 @@ def check_residue_partition(rng: random.Random, rounds: int = 8):
 
 def check_rescale_identity(rng: random.Random, rounds: int = 10):
     """Counting the congruence class equals counting the shifted lattice in
-    the rescaled region, both by brute force."""
-    for i in range(rounds):
+    the rescaled region, both by brute force, on `rounds` requests with
+    N > 1 (drawn requests with N = 1 are skipped)."""
+    done = 0
+    while done < rounds:
         req = random_request(rng)
         if req.modulus == 1:
             continue
         lhs = count_solutions_bruteforce(req)
         rhs = _count_rescaled(req)
         if lhs != rhs:
-            return False, f"instance {i}: {lhs} != {rhs}"
+            return False, f"instance {done}: {lhs} != {rhs}"
+        done += 1
     return True, f"{rounds} instances"
 
 

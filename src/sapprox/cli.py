@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -33,7 +32,7 @@ from .counting import (
     verify_dirichlet,
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
-from .sring import REAL_PLACE, NormProfile, PlaceSet
+from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
 from .volume import Region, mc_agrees, volume_exact, volume_monte_carlo
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
@@ -225,15 +224,10 @@ class RunResult:
         return 0 if self.summary.get("passed", True) else 1
 
 
-def _derive(seed: int, *tags) -> int:
-    text = "/".join(str(t) for t in (seed,) + tags)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _sampler_config(config: ExperimentConfig, sample_index: int) -> SamplerConfig:
     precision = dict(config.precision) or {p: 16 for p in config.places.primes}
     return SamplerConfig.of(
-        _derive(config.seed, "sample", sample_index),
+        derive_seed(config.seed, "sample", sample_index),
         config.dims,
         config.places,
         precision,
@@ -419,7 +413,7 @@ def _run_volume(config) -> RunResult:
     prof = config.schedule.profiles(config.dims[1])[-1]
     region = Region(config.psi, prof, config.places)
     res = volume_exact(region)
-    mc = volume_monte_carlo(region, config.mc_samples, _derive(config.seed, "mc"))
+    mc = volume_monte_carlo(region, config.mc_samples, derive_seed(config.seed, "mc"))
     agrees = mc_agrees(res, mc)
     summary = {
         "mode": "volume",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -31,13 +32,14 @@ from .sring import (
     REAL_PLACE,
     NormProfile,
     PlaceSet,
+    derive_seed,
     enumerate_box,
     enumerate_box_raw,
     min_valuation,
     padic_valuation,
     sup_norm,
 )
-from .volume import Region, contains, volume_exact
+from .volume import Region, contains, contains_pair, volume_exact
 
 
 class InsufficientPrecision(Exception):
@@ -843,16 +845,10 @@ def discrepancy(lam, region: Region, budget: int = 500_000) -> Fraction | float:
         hits = sum(1 for _ in lattice_points_in_region(lam, region, budget))
     else:
         hits = 0
-        for point in lam:
-            x, y = point
-            if isinstance(x, Mapping):
-                if contains(region, x, y):
-                    hits += 1
-            else:
-                x_at = {pl: x for pl in region.places.all_places()}
-                y_at = {pl: y for pl in region.places.all_places()}
-                if contains(region, x_at, y_at):
-                    hits += 1
+        for x, y in lam:
+            member = contains if isinstance(x, Mapping) else contains_pair
+            if member(region, x, y):
+                hits += 1
     vol = volume_exact(region).total
     if isinstance(vol, Fraction):
         return abs(hits - vol)
@@ -895,9 +891,6 @@ def x_region_volume_mc(
     """Monte Carlo volume of X_q: sample X uniformly from the fundamental
     domain per coordinate and decide, exactly, whether some b in Z_S brings
     X.q + b inside every window.  Returns (estimate, std_error, hits)."""
-    import hashlib
-    import random as _random
-
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not any(qvec):
@@ -918,9 +911,7 @@ def x_region_volume_mc(
     res = 2**53
     cache = _CrtCache()
 
-    rng = _random.Random(
-        int.from_bytes(hashlib.sha256(f"{seed}/xq".encode()).digest()[:8], "big")
-    )
+    rng = random.Random(derive_seed(seed, "xq"))
     hits = 0
     for _ in range(samples):
         xs_real = [Fraction(rng.randrange(res), res) for _ in range(n)]

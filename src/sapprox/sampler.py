@@ -11,7 +11,6 @@ anything else.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Mapping
 
 from .approx import ApproxCollection, ConstantOne, FiniteApproxFunction, PowerLaw
 from .counting import CountRequest, TruncatedMatrix
-from .sring import NormProfile, PlaceSet
+from .sring import NormProfile, PlaceSet, derive_seed
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,9 @@ class SamplerConfig:
         raise KeyError(p)
 
 
-def _entry_stream(seed: int, *tags) -> random.Random:
-    text = "/".join(str(t) for t in (seed,) + tags)
-    return random.Random(int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big"))
-
-
 def _finite_entry(config: SamplerConfig, p: int, i: int, j: int, depth: int) -> int:
     """The residue mod p**depth, as the first `depth` digits of the entry's stream."""
-    rng = _entry_stream(config.seed, "fin", p, i, j)
+    rng = random.Random(derive_seed(config.seed, "fin", p, i, j))
     value = 0
     power = 1
     for _ in range(depth):
@@ -74,7 +68,7 @@ def sample_matrix(config: SamplerConfig) -> TruncatedMatrix:
     res = config.real_resolution
     real = [
         [
-            Fraction(_entry_stream(config.seed, "real", i, j).randrange(res), res)
+            Fraction(random.Random(derive_seed(config.seed, "real", i, j)).randrange(res), res)
             for j in range(n)
         ]
         for i in range(m)

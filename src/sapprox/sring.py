@@ -14,6 +14,7 @@ that the solution counter builds on.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,13 @@ REAL_PLACE = "inf"
 
 SRational = Fraction
 SVector = tuple[Fraction, ...]
+
+
+def derive_seed(seed: int, *tags) -> int:
+    """The 64-bit seed of the stream named by (seed, *tags): the first 8
+    bytes, big-endian, of sha256 over the '/'-joined parts."""
+    text = "/".join(str(t) for t in (seed,) + tags)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def _is_prime(n: int) -> bool:
@@ -90,18 +98,6 @@ class PlaceSet:
     def admissible_modulus(self, N: int) -> bool:
         """N is a valid congruence modulus iff N >= 1 and gcd(N, p_1...p_s) = 1."""
         return N >= 1 and math.gcd(N, self.radical) == 1
-
-    def s_part(self, x: Fraction) -> tuple[Fraction, dict[int, int]]:
-        """Factor x != 0 as unit * prod p**e_p with the unit prime to S."""
-        if x == 0:
-            raise ValueError("zero has no S-factorization")
-        exps = {}
-        unit = Fraction(x)
-        for p in self.primes:
-            e = padic_valuation(unit, p)
-            exps[p] = e
-            unit /= Fraction(p) ** e
-        return unit, exps
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int | float:
@@ -217,9 +213,6 @@ class NormProfile:
 
     def finite_value(self, p: int) -> Fraction:
         return Fraction(p) ** self.exponent(p)
-
-    def value_at(self, place) -> Fraction:
-        return self.t_inf if place == REAL_PLACE else self.finite_value(place)
 
     def product(self) -> Fraction:
         out = self.t_inf

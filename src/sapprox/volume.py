@@ -17,7 +17,6 @@ binomial.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .approx import ApproxCollection
-from .sring import REAL_PLACE, NormProfile, PlaceSet, min_valuation, sup_norm
+from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, min_valuation, sup_norm
 
 
 @dataclass(frozen=True)
@@ -192,11 +191,6 @@ class MonteCarloResult:
     box_volume: Fraction
 
 
-def _derive_seed(seed: int, *tags) -> int:
-    text = "/".join(str(t) for t in (seed,) + tags)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _cover_radius(bound: Fraction, root: int) -> float:
     """Smallest convenient float r with r**root >= bound (exactly)."""
     r = float(bound) ** (1.0 / root) if bound > 0 else 0.0
@@ -242,7 +236,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     block_index = 0
     while done < samples:
         count = min(block, samples - done)
-        rng = random.Random(_derive_seed(seed, "mc-block", block_index))
+        rng = random.Random(derive_seed(seed, "mc-block", block_index))
         for _ in range(count):
             xs = tuple(Fraction(rng.uniform(-rx, rx)) for _ in range(m))
             ys = tuple(Fraction(rng.uniform(-ry, ry)) for _ in range(n))

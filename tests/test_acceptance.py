@@ -13,15 +13,15 @@ import pytest
 
 from sapprox.approx import ApproxCollection, FiniteApproxFunction, PowerLaw
 from sapprox.checks import (
-    _count_rescaled,
     check_dirichlet,
     check_discrepancy_sandwich,
+    check_oracle_equivalence,
     check_profile_bounds,
+    check_rescale_identity,
+    check_residue_partition,
     check_xq_bound,
 )
 from sapprox.cli import default_config, records_to_csv, run
-from sapprox.counting import count_solutions, count_solutions_bruteforce
-from sapprox.sampler import random_request
 from sapprox.volume import volume_exact, volume_monte_carlo
 
 SEED = 20260810
@@ -41,11 +41,8 @@ def headline_run():
 
 def test_criterion_01_oracle_equivalence():
     rng = random.Random(f"acceptance-1/{SEED}")
-    for i in range(200):
-        req = random_request(rng)
-        fast = count_solutions(req)
-        brute = count_solutions_bruteforce(req)
-        assert fast == brute, f"instance {i}: {fast} != {brute} for {req}"
+    ok, detail = check_oracle_equivalence(rng, rounds=200)
+    assert ok, detail
     report(1, "count_solutions == brute force on 200 randomized requests (exact)")
 
 
@@ -88,39 +85,16 @@ def test_criterion_03_headline_asymptotic(headline_run):
 
 
 def test_criterion_04_residue_partition():
-    import itertools
-
     rng = random.Random(f"acceptance-4/{SEED}")
-    done = 0
-    while done < 20:
-        req = random_request(rng)
-        options = [N for N in (2, 3, 5) if req.places.admissible_modulus(N)]
-        N = rng.choice(options)
-        m, n = req.dims
-        base = count_solutions(dataclasses.replace(req, modulus=1, shift=()))
-        total = 0
-        for shift in itertools.product(range(N), repeat=m + n):
-            total += count_solutions(
-                dataclasses.replace(
-                    req, modulus=N, shift=tuple(Fraction(c) for c in shift)
-                )
-            )
-        assert total == base, f"partition over N={N} classes: {total} != {base}"
-        done += 1
+    ok, detail = check_residue_partition(rng, rounds=20)
+    assert ok, detail
     report(4, "sum over N^d residue classes equals the N=1 count on 20 instances")
 
 
 def test_criterion_05_rescaling_identity():
     rng = random.Random(f"acceptance-5/{SEED}")
-    done = 0
-    while done < 50:
-        req = random_request(rng)
-        if req.modulus == 1:
-            continue
-        lhs = count_solutions_bruteforce(req)
-        rhs = _count_rescaled(req)
-        assert lhs == rhs, f"rescaled lattice count {rhs} != congruence count {lhs}"
-        done += 1
+    ok, detail = check_rescale_identity(rng, rounds=50)
+    assert ok, detail
     report(5, "congruence count equals the rescaled shifted-lattice count, 50 instances")
 
 

@@ -1,8 +1,10 @@
-"""The Monte Carlo volume check: agreement measured at the exact volume."""
+"""The property checks themselves: Monte Carlo agreement measured at the
+exact volume, and the instance counts the checks report."""
 
 import random
 from fractions import Fraction
 
+from sapprox import checks
 from sapprox.approx import psi_one
 from sapprox.checks import check_volume_oracle
 from sapprox.sring import NormProfile, PlaceSet
@@ -39,3 +41,20 @@ def test_volume_oracle_check_on_a_region_every_sample_hits():
     # 20k samples of it all hit
     ok, detail = check_volume_oracle(random.Random(177), regions=1)
     assert ok, detail
+
+
+def test_rescale_identity_reports_the_requests_it_checked(monkeypatch):
+    # Random(1) draws N = 5, 1, 1 first: requests with N = 1 are skipped and
+    # must not count towards the rounds
+    checked = []
+    bruteforce = checks.count_solutions_bruteforce
+
+    def counted(req):
+        checked.append(req)
+        return bruteforce(req)
+
+    monkeypatch.setattr(checks, "count_solutions_bruteforce", counted)
+    ok, detail = checks.check_rescale_identity(random.Random(1), rounds=3)
+    assert ok, detail
+    assert len(checked) == 3
+    assert detail == "3 instances"

@@ -215,14 +215,14 @@ class TestMainEntry:
         )
 
     def test_verify_exit_code_zero(self):
-        # a tiny seeded verify pass; the full suite runs in acceptance
+        # every property suite of `sapprox verify`, at the default seed
         from sapprox import checks
 
-        name, fn = checks.ALL_CHECKS[0]
-        import random
-
-        ok, _ = fn(random.Random(0))
-        assert ok
+        res = run(default_config("verify"))
+        suites = res.summary["suites"]
+        assert [s["suite"] for s in suites] == [name for name, _ in checks.ALL_CHECKS]
+        failed = [f"{s['suite']}: {s['detail']}" for s in suites if not s["passed"]]
+        assert res.exit_code == 0, f"failed suites: {failed}"
 
     def test_verify_exit_code_nonzero_on_failure(self, monkeypatch, capsys):
         from sapprox import checks

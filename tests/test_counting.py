@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from sapprox.approx import ApproxCollection, FiniteApproxFunction, LogLaw, PowerLaw, psi_one
-from sapprox.checks import _count_rescaled, check_discrepancy_sandwich
+from sapprox.checks import (
+    check_discrepancy_sandwich,
+    check_oracle_equivalence,
+    check_profile_bounds,
+    check_rescale_identity,
+    check_xq_bound,
+)
 from sapprox.counting import (
     AffineLatticeSpec,
     CountRequest,
@@ -26,13 +32,7 @@ from sapprox.counting import (
     x_region_bound,
     x_region_volume_mc,
 )
-from sapprox.sampler import (
-    SamplerConfig,
-    random_places,
-    random_psi,
-    random_request,
-    sample_matrix,
-)
+from sapprox.sampler import SamplerConfig, random_places, random_psi, sample_matrix
 from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
 from sapprox.volume import Region, volume_exact
 
@@ -115,10 +115,8 @@ class TestCountSolutions:
         assert fast == 5
 
     def test_oracle_equivalence_randomized(self):
-        rng = random.Random(20260810)
-        for _ in range(60):
-            req = random_request(rng)
-            assert count_solutions(req) == count_solutions_bruteforce(req)
+        ok, detail = check_oracle_equivalence(random.Random(20260810), rounds=60)
+        assert ok, detail
 
     def test_residue_partition_small(self):
         cfg = SamplerConfig.of(17, (1, 1), S2, {2: 12}, 2**12)
@@ -232,14 +230,8 @@ class TestRescale:
         assert rs.shift == (Fraction(1, 5), Fraction(2, 5))
 
     def test_count_identity_bruteforce(self):
-        rng = random.Random(101)
-        checked = 0
-        while checked < 12:
-            req = random_request(rng)
-            if req.modulus == 1:
-                continue
-            checked += 1
-            assert count_solutions_bruteforce(req) == _count_rescaled(req)
+        ok, detail = check_rescale_identity(random.Random(101), rounds=12)
+        assert ok, detail
 
 
 class TestDiscrepancy:
@@ -333,31 +325,14 @@ class TestProfileBounds:
         assert res.exact <= res.bound == 2 * 2 * 7
 
     def test_randomized_bound(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            S = rng.choice([PlaceSet(()), PlaceSet((2,)), PlaceSet((2, 3))])
-            n = rng.randint(1, 2)
-            exps = {p: rng.randint(-1, 2) for p in S.primes}
-            t_inf = Fraction(rng.randint(1, 8), rng.choice([1, 2]))
-            prof = NormProfile.of(t_inf, exps)
-            res = profile_count_bound(n, prof, S)
-            assert res.exact <= res.bound
-            if not res.feasible:
-                assert res.exact == 0
+        ok, detail = check_profile_bounds(random.Random(3), rounds=40)
+        assert ok, detail
 
 
 class TestFiberRegion:
     def test_bound_holds(self):
-        rng = random.Random(41)
-        for _ in range(6):
-            S = rng.choice([PlaceSet(()), PlaceSet((2,))])
-            m, n = rng.randint(1, 2), rng.randint(1, 2)
-            psi = psi_one(S, m, n)
-            q = tuple(Fraction(rng.randint(-6, 6)) for _ in range(n))
-            if not any(q):
-                q = (Fraction(2),) + q[1:]
-            est, se, _ = x_region_volume_mc(q, psi, S, 1500, seed=rng.randrange(2**30))
-            assert est <= min(x_region_bound(q, psi, S), 1.0) + 4 * se + 1e-9
+        ok, detail = check_xq_bound(random.Random(41), rounds=6, samples=1500)
+        assert ok, detail
 
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):

@@ -3,19 +3,18 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sapprox.checks import check_box_enumeration, check_congruence_relation, check_kernel_ap
 from sapprox.sring import (
     NormProfile,
     PlaceSet,
     congruent_mod,
     count_in_ap,
     enumerate_box,
-    min_valuation,
     norm_at,
     padic_valuation,
 )
@@ -110,29 +109,8 @@ class TestCongruence:
             congruent_mod((Fraction(1, 5),), (Fraction(0),), 3, self.S)
 
     def test_equivalence_and_additivity(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            S = random.Random(rng.random()).choice([PlaceSet(()), PlaceSet((2,)), PlaceSet((2, 3))])
-            N = rng.choice([N for N in (1, 3, 5, 7) if S.admissible_modulus(N)])
-            den = S.radical if S.primes else 1
-
-            def vec():
-                return tuple(
-                    Fraction(rng.randint(-30, 30), rng.choice([1, den])) for _ in range(2)
-                )
-
-            x, y, z = vec(), vec(), vec()
-            assert congruent_mod(x, x, N, S)
-            assert congruent_mod(x, y, N, S) == congruent_mod(y, x, N, S)
-            if congruent_mod(x, y, N, S) and congruent_mod(y, z, N, S):
-                assert congruent_mod(x, z, N, S)
-            if congruent_mod(x, y, N, S):
-                assert congruent_mod(
-                    tuple(a + c for a, c in zip(x, z)),
-                    tuple(b + c for b, c in zip(y, z)),
-                    N,
-                    S,
-                )
+        ok, detail = check_congruence_relation(random.Random(4), rounds=100)
+        assert ok, detail
 
 
 class TestCountInAp:
@@ -142,15 +120,8 @@ class TestCountInAp:
         assert count_in_ap(Fraction(-7), Fraction(7), 2, 5) == 3
 
     def test_against_loop(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            lo = Fraction(rng.randint(-400, 400), rng.randint(1, 8))
-            hi = Fraction(rng.randint(-400, 400), rng.randint(1, 8))
-            r, M = rng.randint(-30, 30), rng.randint(1, 20)
-            expected = sum(
-                1 for b in range(-500, 501) if lo <= b <= hi and (b - r) % M == 0
-            )
-            assert count_in_ap(lo, hi, r, M) == expected
+        ok, detail = check_kernel_ap(random.Random(11), rounds=1000)
+        assert ok, detail
 
 
 class TestEnumerateBox:
@@ -192,28 +163,8 @@ class TestEnumerateBox:
         assert got == [(Fraction(a),) for a in (-2, -1, 0, 1, 2)]
 
     def test_matches_direct_filter(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            S = rng.choice([PlaceSet(()), PlaceSet((2,)), PlaceSet((3,)), PlaceSet((2, 3))])
-            dim = rng.randint(1, 2)
-            u_inf = Fraction(rng.randint(0, 4)) + Fraction(rng.randint(0, 1), 2)
-            u_fin = {p: rng.randint(-1, 1) for p in S.primes}
-            got = set(enumerate_box(dim, S, u_inf, u_fin))
-            D = 1
-            for p in S.primes:
-                D *= p ** (abs(u_fin[p]) + 1)
-            B = int(D * u_inf) + D
-            expected = set()
-            for a in product(range(-B, B + 1), repeat=dim):
-                q = tuple(Fraction(x, D) for x in a)
-                if any(abs(c) > u_inf for c in q):
-                    continue
-                if all(
-                    min_valuation(q, p) is None or -min_valuation(q, p) <= u_fin[p]
-                    for p in S.primes
-                ):
-                    expected.add(q)
-            assert got == expected
+        ok, detail = check_box_enumeration(random.Random(31), rounds=30)
+        assert ok, detail
 
     def test_deterministic_order(self):
         S = PlaceSet((2,))

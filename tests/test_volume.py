@@ -15,7 +15,7 @@ from sapprox.approx import (
     inflate,
     psi_one,
 )
-from sapprox.checks import random_region
+from sapprox.checks import check_volume_identity
 from sapprox.sring import NormProfile, PlaceSet
 from sapprox.volume import Region, contains, contains_pair, volume_exact, volume_monte_carlo
 
@@ -84,16 +84,8 @@ class TestVolumeExact:
         assert dict(volume_exact(reg).finite_factors)[2] == Fraction(3, 2)
 
     def test_identity_and_place_factors(self):
-        rng = random.Random(77)
-        for _ in range(25):
-            reg = random_region(rng)
-            res = volume_exact(reg)
-            assert res.identity_holds()
-            prod = Fraction(1) if res.is_exact else 1.0
-            for place in reg.places.all_places():
-                prod = prod * res.place_factor(place)
-            if res.is_exact:
-                assert prod == res.total
+        ok, detail = check_volume_identity(random.Random(77), rounds=25)
+        assert ok, detail
 
     def test_profile_exponent_divisibility(self):
         with pytest.raises(ValueError):
