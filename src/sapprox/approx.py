@@ -7,12 +7,16 @@ nondecreasing integers z_k.  Functions are data (a kind tag plus parameters),
 not opaque callables, so that volumes, divergence decisions and the exact
 comparisons inside the solution counter all have closed forms.
 
-Real-place values may be irrational (a power law evaluates to an e-th root
-of a rational); such values are carried exactly as :class:`RootVal` and all
-comparisons against them cross-multiply integers.  Only the logarithmic
-family has no exact representation: its comparisons run in rigorous interval
-arithmetic with escalating precision and raise :class:`UndecidedComparison`
-on a persistent tie instead of ever miscounting.
+Real-place values may be irrational (a power law evaluates to a w-th root
+of a rational).  Each real kind therefore evaluates exactly in one place,
+``value_triple(tn, td)``, which returns psi(tn/td) as an integer triple
+(vn, vd, w) meaning (vn/vd)**(1/w).  The base class derives everything else
+from it: the exact value (a Fraction or :class:`RootVal`), the comparison
+lhs <= psi(t) and the integer root threshold all cross-multiply integers.
+Only the logarithmic family with b > 0 has no exact value (its triple is
+None): its comparisons run in rigorous interval arithmetic with escalating
+precision and raise :class:`UndecidedComparison` on a persistent tie
+instead of ever miscounting.
 """
 
 from __future__ import annotations
@@ -67,39 +71,14 @@ def make_root(num: int, den: int, root: int) -> Fraction | RootVal:
     return RootVal(num, den, root)
 
 
-def as_root_triple(v: Fraction | RootVal) -> tuple[int, int, int]:
-    if isinstance(v, RootVal):
-        return v.num, v.den, v.root
-    return v.numerator, v.denominator, 1
-
-
-def fraction_leq(lhs: Fraction, v: Fraction | RootVal) -> bool:
-    """Exact decision of lhs <= v for nonnegative lhs."""
-    if isinstance(v, Fraction):
-        return lhs <= v
-    if lhs <= 0:
-        return True
-    # lhs <= (num/den)**(1/root), cross-multiplied with integer powers
-    return lhs.numerator**v.root * v.den <= v.num * lhs.denominator**v.root
-
-
 def _exact_pow(x: Fraction, q: Fraction) -> Fraction | None:
     """x**q as an exact positive rational, or None when it is irrational."""
     x, q = Fraction(x), Fraction(q)
     if x <= 0:
         raise ValueError("exact powers only for positive bases")
-    if q < 0:
-        out = _exact_pow(x, -q)
-        return None if out is None else 1 / out
     y = x**q.numerator
-    w = q.denominator
-    if w == 1:
-        return y
-    rn = _kernel.introot(y.numerator, w)
-    rd = _kernel.introot(y.denominator, w)
-    if rn**w == y.numerator and rd**w == y.denominator:
-        return Fraction(rn, rd)
-    return None
+    v = make_root(y.numerator, y.denominator, q.denominator)
+    return v if isinstance(v, Fraction) else None
 
 
 def _to_mpf(x) -> mpmath.mpf:
@@ -126,24 +105,29 @@ def _mpf_with_error(expr) -> tuple[float, float]:
 
 
 class RealApproxFunction:
-    """Base of the real-place catalog.  Subclasses are immutable value types."""
+    """Base of the real-place catalog.  Subclasses are immutable value types.
+
+    A kind defines ``value_triple``, its one exact evaluation; the base class
+    derives ``value_exact``, ``leq_value`` and ``max_root_leq`` from it.  A
+    kind whose triple can be None (the log law with b > 0) overrides those
+    two comparisons with interval fallbacks.
+    """
 
     #: whether the plateau invariant psi((0,1]) = 1 holds structurally
     normalized = True
-
-    def value_exact(self, t: Fraction) -> Fraction | RootVal | None:
-        """The exact value at rational t >= 0, or None for numeric-only kinds."""
-        raise NotImplementedError
 
     def value_triple(self, tn: int, td: int) -> tuple[int, int, int] | None:
         """psi(tn/td) as an unreduced root triple (vn, vd, w), meaning
         (vn/vd)**(1/w); None for numeric-only kinds.  The integer-only entry
         point the counting loop runs on: callers may pass unreduced tn/td
         and must not rely on reduced output."""
-        v = self.value_exact(Fraction(tn, td))
-        if v is None:
-            return None
-        return as_root_triple(v)
+        raise NotImplementedError
+
+    def value_exact(self, t: Fraction) -> Fraction | RootVal | None:
+        """The exact value at rational t >= 0, or None for numeric-only kinds."""
+        t = Fraction(t)
+        trip = self.value_triple(t.numerator, t.denominator)
+        return None if trip is None else make_root(*trip)
 
     def value_float(self, t) -> float:
         v = self.value_exact(Fraction(t))
@@ -155,19 +139,23 @@ class RealApproxFunction:
         """sup over (0, inf); rational for every catalog kind."""
         return Fraction(1)
 
+    def _exact_triple(self, t: Fraction) -> tuple[int, int, int]:
+        trip = self.value_triple(t.numerator, t.denominator)
+        if trip is None:
+            raise NotImplementedError
+        return trip
+
     def leq_value(self, lhs: Fraction, t: Fraction) -> bool:
         """Decide lhs <= psi(t) exactly (lhs rational, lhs >= 0)."""
-        v = self.value_exact(t)
-        if v is None:
-            raise NotImplementedError
-        return fraction_leq(lhs, v)
+        if lhs <= 0:
+            return True
+        vn, vd, w = self._exact_triple(Fraction(t))
+        # lhs <= (vn/vd)**(1/w), cross-multiplied with integer powers
+        return lhs.numerator**w * vd <= vn * lhs.denominator**w
 
     def max_root_leq(self, t: Fraction, mult: Fraction, e: int) -> int:
         """max{y integer >= 0 : y**e <= psi(t) * mult}."""
-        v = self.value_exact(t)
-        if v is None:
-            raise NotImplementedError
-        vn, vd, w = as_root_triple(v)
+        vn, vd, w = self._exact_triple(Fraction(t))
         num = vn * mult.numerator**w
         den = vd * mult.denominator**w
         return _kernel.introot(num // den, e * w)
@@ -187,9 +175,6 @@ class RealApproxFunction:
 @dataclass(frozen=True)
 class ConstantOne(RealApproxFunction):
     """psi(t) = 1."""
-
-    def value_exact(self, t):
-        return Fraction(1)
 
     def value_triple(self, tn, td):
         return 1, 1, 1
@@ -222,33 +207,17 @@ class PowerLaw(RealApproxFunction):
         if self.a <= 0:
             raise ValueError("power-law exponent must be positive")
 
-    def _on_plateau(self, t: Fraction) -> bool:
-        # c * t**(-a) >= 1  <=>  t**u <= c**w  with a = u/w
-        if t <= 1:
-            return True
-        u, w = self.a.numerator, self.a.denominator
-        cn, cd = self.c.numerator, self.c.denominator
-        return t.numerator**u * cd**w <= cn**w * t.denominator**u
-
-    def value_exact(self, t):
-        t = Fraction(t)
-        if self._on_plateau(t):
-            return Fraction(1)
-        u, w = self.a.numerator, self.a.denominator
-        cn, cd = self.c.numerator, self.c.denominator
-        # c * t**(-u/w) = (c**w / t**u) ** (1/w)
-        return make_root(cn**w * t.denominator**u, cd**w * t.numerator**u, w)
-
     def value_triple(self, tn, td):
         u, w = self.a.numerator, self.a.denominator
         cn, cd = self.c.numerator, self.c.denominator
         if tn <= td or tn**u * cd**w <= cn**w * td**u:  # t <= 1 or c t^-a >= 1
             return 1, 1, 1
+        # c * t**(-u/w) = (c**w / t**u) ** (1/w)
         return cn**w * td**u, cd**w * tn**u, w
 
     def integral_to(self, T):
         T = Fraction(T)
-        if self._on_plateau(T):
+        if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
             return T, Fraction(0)
         r0 = _exact_pow(self.c, 1 / self.a)
         if self.a == 1:
@@ -308,14 +277,6 @@ class LogLaw(RealApproxFunction):
         if self.b < 0:
             raise ValueError("log-law exponent must be nonnegative")
 
-    def value_exact(self, t):
-        t = Fraction(t)
-        if t <= 1:
-            return Fraction(1)
-        if self.b == 0:
-            return min(Fraction(1), self.c / t)
-        return None
-
     def value_triple(self, tn, td):
         if tn <= td:
             return 1, 1, 1
@@ -350,10 +311,8 @@ class LogLaw(RealApproxFunction):
         t, lhs = Fraction(t), Fraction(lhs)
         if lhs > 1:
             return False
-        if t <= 1:
-            return True
-        if self.b == 0:
-            return lhs <= min(Fraction(1), self.c / t)
+        if t <= 1 or self.b == 0:
+            return super().leq_value(lhs, t)
         iv = mpmath.iv
         for prec in (64, 128, 512, 2048):
             old = iv.prec
@@ -373,10 +332,7 @@ class LogLaw(RealApproxFunction):
     def max_root_leq(self, t, mult, e):
         t, mult = Fraction(t), Fraction(mult)
         if t <= 1 or self.b == 0:
-            v = self.value_exact(t)
-            return _kernel.introot(
-                (v.numerator * mult.numerator) // (v.denominator * mult.denominator), e
-            )
+            return super().max_root_leq(t, mult, e)
         iv = mpmath.iv
         for prec in (64, 128, 512, 2048):
             old = iv.prec
@@ -474,15 +430,6 @@ class UserStep(RealApproxFunction):
         if self.tail not in ("constant", None):
             raise ValueError("tail rule must be 'constant' or None")
 
-    def value_exact(self, t):
-        t = Fraction(t)
-        val = Fraction(1)
-        for ti, vi in self.breakpoints:
-            if t <= ti:
-                return val
-            val = vi
-        return val
-
     def value_triple(self, tn, td):
         val = Fraction(1)
         for ti, vi in self.breakpoints:
@@ -533,17 +480,6 @@ class Scaled(RealApproxFunction):
         object.__setattr__(self, "arg_scale", Fraction(self.arg_scale))
         if self.value_scale <= 0 or self.arg_scale <= 0:
             raise ValueError("scales must be positive")
-
-    def value_exact(self, t):
-        v = self.base.value_exact(Fraction(t) * self.arg_scale)
-        if v is None:
-            return None
-        if isinstance(v, Fraction):
-            return v * self.value_scale
-        s = self.value_scale
-        return make_root(
-            v.num * s.numerator**v.root, v.den * s.denominator**v.root, v.root
-        )
 
     def value_triple(self, tn, td):
         lam = self.arg_scale
@@ -673,12 +609,6 @@ class FiniteApproxFunction:
             return self.head[-1] if self.head else 0
         _, alpha, beta = self.tail
         return alpha * k + beta
-
-    def threshold_exponent(self, kappa) -> int:
-        """z at the block of ||q||_p^n = p**(kappa*n); kappa None means q = 0."""
-        if kappa is None:
-            return 0
-        return self.z_at_block(kappa)
 
     def evaluate(self, t: Fraction) -> Fraction:
         """psi_p(t) as an exact power of p (steps between powers of p follow

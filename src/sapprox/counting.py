@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import _kernel
-from .approx import ApproxCollection, Scaled, as_root_triple
+from .approx import ApproxCollection, Scaled
 from .sring import (
     REAL_PLACE,
     NormProfile,
@@ -447,8 +447,7 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
         for p in S.primes:
             fn = psi.finite_fn(p)
             mv = min_valuation(q, p)
-            kappa = None if mv is None else -mv
-            j = fn.threshold_exponent(kappa)
+            j = 0 if mv is None else fn.z_at_block(-mv)
             thresholds[p] = j
             worst = max((-padic_valuation(c, p) for c in c_fin[p] if c != 0), default=0)
             p_box_exp[p] = max(0, int(worst), -j)
@@ -867,16 +866,15 @@ def x_region_bound(qvec: Sequence[Fraction], psi: ApproxCollection, places: Plac
     m, n = psi.m, psi.n
     out = 2.0 * n
     t = sup_norm(qvec) ** n
-    v = psi.real.value_exact(t)
-    if v is None:
+    trip = psi.real.value_triple(t.numerator, t.denominator)
+    if trip is None:
         out *= psi.real.value_float(t) ** (1.0 / m)
     else:
-        vn, vd, w = as_root_triple(v)
+        vn, vd, w = trip
         out *= float(Fraction(vn, vd)) ** (1.0 / (w * m))
     for p in places.primes:
         mv = min_valuation(qvec, p)
-        kappa = -mv if mv is not None else None
-        z = psi.finite_fn(p).threshold_exponent(kappa)
+        z = 0 if mv is None else psi.finite_fn(p).z_at_block(-mv)
         out *= float(p) ** (-z)
     return out
 
@@ -901,13 +899,12 @@ def x_region_volume_mc(
     fin_data = []
     for p in places.primes:
         mv = min_valuation(qvec, p)
-        kappa = -mv if mv is not None else None
-        j = psi.finite_fn(p).threshold_exponent(kappa)
-        depth = j + 2 * max(kappa or 0, 0) + 1
+        kappa = -mv if mv is not None else 0
+        j = psi.finite_fn(p).z_at_block(kappa)
+        depth = j + 2 * max(kappa, 0) + 1
         fin_data.append((p, j, p**depth))
     t_real = sup_norm(qvec) ** n
-    v = psi.real.value_exact(t_real)
-    trip = None if v is None else as_root_triple(v)
+    trip = psi.real.value_triple(t_real.numerator, t_real.denominator)
     res = 2**53
     cache = _CrtCache()
 

@@ -164,7 +164,7 @@ def contains(
             kappa = None if mv_y is None else -mv_y
             if kappa is not None and kappa * n > region.profile.exponent(p):
                 return False
-            z = fn.threshold_exponent(kappa)
+            z = 0 if kappa is None else fn.z_at_block(kappa)
             mv_x = min_valuation(x, p)
             if mv_x is not None and mv_x < z:
                 return False

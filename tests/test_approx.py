@@ -1,5 +1,6 @@
 """Approximation-function collections: validation, evaluation, divergence."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from sapprox.approx import (
     PowerLaw,
     RootVal,
     Scaled,
+    UndecidedComparison,
     UserStep,
     evaluate,
     inflate,
@@ -86,15 +88,61 @@ class TestEvaluation:
         ]
         for fn in fns:
             grid = sorted(Fraction(rng.randint(1, 500), rng.randint(1, 7)) for _ in range(12))
-            if isinstance(fn, FiniteApproxFunction):
-                vals = [fn.evaluate(t) for t in grid]
-            else:
-                vals = [
-                    fn.value_exact(t) if fn.value_exact(t) is not None else fn.value_float(t)
-                    for t in grid
-                ]
-            floats = [float(v) for v in vals]
+            floats = [float(evaluate(fn, t)) for t in grid]
             assert all(a >= b - 1e-12 for a, b in zip(floats, floats[1:]))
+
+
+def real_evaluation_table() -> list[str]:
+    """value_exact, leq_value and max_root_leq of each real kind, bare and
+    inflated both ways, on one seeded grid of (t, lhs, mult, e)."""
+    rng = random.Random(20261018)
+    bases = [
+        ConstantOne(),
+        PowerLaw(Fraction(3, 2), Fraction(2)),
+        PowerLaw(Fraction(2), Fraction(1, 2)),
+        UserStep(((Fraction(2), Fraction(1, 2)), (Fraction(5), Fraction(1, 8)))),
+        LogLaw(Fraction(3), Fraction(0)),
+        LogLaw(Fraction(2), Fraction(2)),
+    ]
+    kinds = []
+    for fn in bases:
+        kinds += [
+            fn,
+            Scaled(fn, Fraction(3, 2), Fraction(2, 3)),
+            Scaled(fn, Fraction(2, 3), Fraction(3, 2)),
+        ]
+    lines = []
+    for fn in kinds:
+        for _ in range(50):
+            t = Fraction(rng.randint(0, 400), rng.randint(1, 12))
+            lhs = Fraction(rng.randint(0, 30), rng.randint(1, 20))
+            mult = Fraction(rng.randint(1, 50), rng.randint(1, 6))
+            e = rng.randint(1, 3)
+            outs = []
+            for call in (
+                lambda: fn.value_exact(t),
+                lambda: fn.leq_value(lhs, t),
+                lambda: fn.max_root_leq(t, mult, e),
+            ):
+                try:
+                    outs.append(repr(call()))
+                except UndecidedComparison:
+                    outs.append("undecided")
+            lines.append(f"{fn!r}|{t}|{lhs}|{mult}|{e}|" + "|".join(outs))
+    return lines
+
+
+class TestPinnedRealEvaluation:
+    """The exact outputs of real-place evaluation, hashed: any change in a
+    value, a comparison or a root threshold shows here."""
+
+    SHA256 = "a76eb17078f9dd58c36c17035cdf1afdc6c097364ab6ff80acf600582e1623bf"
+
+    def test_table(self):
+        lines = real_evaluation_table()
+        assert len(lines) == 900
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.SHA256
 
 
 class TestValidation:

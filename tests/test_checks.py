@@ -2,6 +2,7 @@
 exact volume, and the instance counts the checks report."""
 
 import random
+import re
 from fractions import Fraction
 
 from sapprox import checks
@@ -58,3 +59,16 @@ def test_rescale_identity_reports_the_requests_it_checked(monkeypatch):
     assert ok, detail
     assert len(checked) == 3
     assert detail == "3 instances"
+
+
+def test_congruence_relation_exercises_transitivity_and_additivity():
+    # independent draws are rarely congruent mod N > 1; the check must build
+    # congruent chains often enough that both implications really run
+    ok, detail = checks.check_congruence_relation(random.Random(4), rounds=100)
+    assert ok, detail
+    found = re.fullmatch(
+        r"100 instances; N > 1 in (\d+), transitivity in (\d+), additivity in (\d+)", detail
+    )
+    assert found, detail
+    n_gt_1, transitive, additive = map(int, found.groups())
+    assert 3 * transitive >= n_gt_1 and 3 * additive >= n_gt_1, detail
