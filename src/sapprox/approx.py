@@ -17,6 +17,14 @@ Only the logarithmic family with b > 0 has no exact value (its triple is
 None): its comparisons run in rigorous interval arithmetic with escalating
 precision and raise :class:`UndecidedComparison` on a persistent tie
 instead of ever miscounting.
+
+Each function has one local integral, ``integral_to``: up to T_inf at the
+real place and up to block t_p at a finite place.  The volume of E_psi(T)
+is the product of these integrals, and the divergence of the defining
+integral asks the same methods for ``math.inf``, where a divergent integral
+returns ``math.inf``.  A real kind returns (value, absolute error bound),
+exact Fractions where a closed form exists; a finite place's shell sum is
+always an exact Fraction.
 """
 
 from __future__ import annotations
@@ -160,12 +168,10 @@ class RealApproxFunction:
         den = vd * mult.denominator**w
         return _kernel.introot(num // den, e * w)
 
-    def integral_to(self, T: Fraction) -> tuple[Fraction | float, Fraction | float]:
-        """(value, absolute error bound) for the truncated integral over [0, T]."""
-        raise NotImplementedError
-
-    def integral_tail(self):
-        """('divergent', None, None) or ('convergent', value, error) for [0, inf)."""
+    def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
+        """(value, absolute error bound) for the integral over [0, T], T
+        rational or ``math.inf``; a divergent integral returns (math.inf, 0).
+        The value is a Fraction when exact and a float otherwise."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -180,10 +186,9 @@ class ConstantOne(RealApproxFunction):
         return 1, 1, 1
 
     def integral_to(self, T):
+        if T == math.inf:
+            return math.inf, 0
         return Fraction(T), Fraction(0)
-
-    def integral_tail(self):
-        return ("divergent", None, None)
 
     def to_json(self):
         return {"kind": "constant-one"}
@@ -216,9 +221,14 @@ class PowerLaw(RealApproxFunction):
         return cn**w * td**u, cd**w * tn**u, w
 
     def integral_to(self, T):
-        T = Fraction(T)
-        if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
-            return T, Fraction(0)
+        to_inf = T == math.inf
+        if to_inf:
+            if self.a <= 1:
+                return math.inf, 0
+        else:
+            T = Fraction(T)
+            if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
+                return T, Fraction(0)
         r0 = _exact_pow(self.c, 1 / self.a)
         if self.a == 1:
 
@@ -228,7 +238,8 @@ class PowerLaw(RealApproxFunction):
 
             return _mpf_with_error(log_expr)
         if r0 is not None:
-            t_pow = _exact_pow(T, 1 - self.a)
+            # T**(1-a) vanishes at T = inf, where a > 1
+            t_pow = Fraction(0) if to_inf else _exact_pow(T, 1 - self.a)
             if t_pow is not None:
                 # integral of c r^-a over [r0, T] is (c*T^(1-a) - r0)/(1-a),
                 # using c * r0^(1-a) = r0
@@ -236,22 +247,10 @@ class PowerLaw(RealApproxFunction):
 
         def pow_expr():
             r = _to_mpf(r0) if r0 is not None else _root_mpf(self.c, self.a)
-            return r + (_to_mpf(self.c) * _to_mpf(T) ** _to_mpf(1 - self.a) - r) / _to_mpf(
-                1 - self.a
-            )
+            t_pow = 0 if to_inf else _to_mpf(T) ** _to_mpf(1 - self.a)
+            return r + (_to_mpf(self.c) * t_pow - r) / _to_mpf(1 - self.a)
 
         return _mpf_with_error(pow_expr)
-
-    def integral_tail(self):
-        if self.a <= 1:
-            return ("divergent", None, None)
-        r0 = _exact_pow(self.c, 1 / self.a)
-        if r0 is not None:
-            return ("convergent", r0 * self.a / (self.a - 1), Fraction(0))
-        val, err = _mpf_with_error(
-            lambda: _root_mpf(self.c, self.a) * _to_mpf(self.a) / _to_mpf(self.a - 1)
-        )
-        return ("convergent", val, err)
 
     def to_json(self):
         return {"kind": "power-law", "c": str(self.c), "a": str(self.a)}
@@ -375,27 +374,22 @@ class LogLaw(RealApproxFunction):
         return lo, hi
 
     def integral_to(self, T):
-        T = Fraction(T)
-        if T <= 1 or self.leq_value(Fraction(1), T):
-            return T, Fraction(0)  # entirely on the plateau
+        to_inf = T == math.inf
+        if to_inf:
+            if self.b <= 1:
+                return math.inf, 0
+        else:
+            T = Fraction(T)
+            if T <= 1 or self.leq_value(Fraction(1), T):
+                return T, Fraction(0)  # entirely on the plateau
         lo, hi = self._crossover()
         with mpmath.workdps(30):
             f = lambda r: _to_mpf(self.c) / (r * mpmath.log(r) ** _to_mpf(self.b))
-            val, quad_err = mpmath.quad(f, [_to_mpf(hi), _to_mpf(T)], error=True)
+            end = mpmath.inf if to_inf else _to_mpf(T)
+            val, quad_err = mpmath.quad(f, [_to_mpf(hi), end], error=True)
             total = _to_mpf(lo) + val
             err = float(quad_err) + float(hi - lo)
         return float(total), err
-
-    def integral_tail(self):
-        if self.b <= 1:
-            return ("divergent", None, None)
-        lo, hi = self._crossover()
-        with mpmath.workdps(30):
-            f = lambda r: _to_mpf(self.c) / (r * mpmath.log(r) ** _to_mpf(self.b))
-            val, quad_err = mpmath.quad(f, [_to_mpf(hi), mpmath.inf], error=True)
-            total = _to_mpf(lo) + val
-            err = float(quad_err) + float(hi - lo)
-        return ("convergent", float(total), err)
 
     def to_json(self):
         return {"kind": "log-law", "c": str(self.c), "b": str(self.b)}
@@ -406,8 +400,9 @@ class UserStep(RealApproxFunction):
     """Right-continuous-from-the-left step data: value 1 on (0, t_1], then
     v_i on (t_i, t_{i+1}], extended by the last value (the 'constant' tail).
 
-    ``tail=None`` marks the extension as unacknowledged: evaluation still
-    works, but tail integrals refuse to decide.
+    ``tail=None`` marks the extension as unacknowledged: evaluation and
+    truncated integrals still work, but the integral to infinity refuses to
+    decide.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -439,6 +434,10 @@ class UserStep(RealApproxFunction):
         return val.numerator, val.denominator, 1
 
     def integral_to(self, T):
+        if T == math.inf:
+            if self.tail != "constant":
+                raise IntegralUndecidable("user-step function has no acknowledged tail rule")
+            return math.inf, 0  # the constant tail value is positive
         T = Fraction(T)
         total = Fraction(0)
         prev_t, val = Fraction(0), Fraction(1)
@@ -448,11 +447,6 @@ class UserStep(RealApproxFunction):
             total += val * (ti - prev_t)
             prev_t, val = ti, vi
         return total + val * (T - prev_t), Fraction(0)
-
-    def integral_tail(self):
-        if self.tail != "constant":
-            raise IntegralUndecidable("user-step function has no acknowledged tail rule")
-        return ("divergent", None, None)  # the constant tail value is positive
 
     def to_json(self):
         return {
@@ -505,20 +499,10 @@ class Scaled(RealApproxFunction):
         )
 
     def integral_to(self, T):
-        val, err = self.base.integral_to(Fraction(T) * self.arg_scale)
+        # a float val times the Fraction f is float(val) * float(f)
+        val, err = self.base.integral_to(T * self.arg_scale)
         f = self.value_scale / self.arg_scale
-        if isinstance(val, Fraction):
-            return val * f, err * f
-        return float(val) * float(f), float(err) * float(f)
-
-    def integral_tail(self):
-        verdict, val, err = self.base.integral_tail()
-        if verdict == "divergent":
-            return (verdict, None, None)
-        f = self.value_scale / self.arg_scale
-        if isinstance(val, Fraction):
-            return (verdict, val * f, err * f)
-        return (verdict, float(val) * float(f), float(err) * float(f))
+        return val * f, err * f
 
     def to_json(self):
         return {
@@ -624,12 +608,30 @@ class FiniteApproxFunction:
             j += 1
         return Fraction(1, self.p ** (self.m * self.z_at_block(j // self.n)))
 
-    def factor_tail_divergent(self) -> bool:
-        """Divergence of sum_k p**(kn) * psi_p(p**(kn)): decided by the tail."""
-        if self.tail[0] == "constant":
-            return True
-        _, alpha, _ = self.tail
-        return self.m * alpha <= self.n
+    def integral_to(self, t: int | float) -> Fraction | float:
+        """The exact local integral up to T_p = p**(t*n), the shell sum
+        sum_{k <= t} p**(kn) (1 - p**(-n)) psi_p(p**(kn)).  For t <= 0 that
+        is the ball volume p**(t*n); for t > 0 the k <= 0 shells sum to 1.
+        At t = math.inf it is the head plus the geometric sum of a linear
+        tail with m*alpha > n, and math.inf when the tail diverges."""
+        p, m, n = self.p, self.m, self.n
+        if t <= 0:
+            return Fraction(p) ** (t * n)
+        to_inf = t == math.inf
+        if to_inf:
+            if self.tail[0] == "constant" or m * self.tail[1] <= n:
+                return math.inf
+            t = len(self.head)  # sum the head, then the tail in closed form
+        total = Fraction(1)
+        shell = 1 - Fraction(p) ** (-n)
+        for k in range(1, t + 1):
+            total += Fraction(p) ** (k * n) * shell * Fraction(p) ** (-m * self.z_at_block(k))
+        if to_inf:
+            _, alpha, beta = self.tail
+            ratio = Fraction(p) ** (n - m * alpha)
+            first = Fraction(p) ** (-m * beta) * ratio ** (t + 1)
+            total += shell * first / (1 - ratio)
+        return total
 
     def to_json(self):
         return {"p": self.p, "head": list(self.head), "tail": list(self.tail)}
@@ -743,42 +745,18 @@ def integral_diverges(psi: ApproxCollection, places: PlaceSet) -> DivergenceResu
     converges the exact (or tightly enclosed) product is returned.
     """
     psi.check_places(places)
-    n = psi.n
-    verdict, real_val, real_err = psi.real.integral_tail()
-    real_div = verdict == "divergent"
-
-    fin_flags = []
-    fin_values = {}
-    for p, fn in psi.finite:
-        if fn.factor_tail_divergent():
-            fin_flags.append((p, True))
-            continue
-        fin_flags.append((p, False))
-        # exact head + geometric tail (linear z_k with m*alpha > n)
-        H = len(fn.head)
-        total = Fraction(1)  # the k <= 0 part sums exactly to 1
-        shell = 1 - Fraction(p) ** (-n)
-        for k in range(1, H + 1):
-            total += Fraction(p) ** (k * n) * shell * Fraction(p) ** (-fn.m * fn.z_at_block(k))
-        _, alpha, beta = fn.tail
-        ratio = Fraction(p) ** (n - fn.m * alpha)
-        first = Fraction(p) ** (-fn.m * beta) * ratio ** (H + 1)
-        total += shell * first / (1 - ratio)
-        fin_values[p] = total
-
-    divergent = real_div or any(flag for _, flag in fin_flags)
-    if divergent:
-        return DivergenceResult(True, real_div, tuple(fin_flags), None, None)
+    real_val, real_err = psi.real.integral_to(math.inf)
+    real_div = real_val == math.inf
+    fin_values = [(p, fn.integral_to(math.inf)) for p, fn in psi.finite]
+    fin_flags = tuple((p, f == math.inf) for p, f in fin_values)
+    if real_div or any(flag for _, flag in fin_flags):
+        return DivergenceResult(True, real_div, fin_flags, None, None)
 
     fin_prod = Fraction(1)
-    for p, _ in psi.finite:
-        fin_prod *= fin_values[p]
-    scale = Fraction(2) ** n * fin_prod
-    if isinstance(real_val, Fraction):
-        return DivergenceResult(False, False, tuple(fin_flags), scale * real_val, scale * real_err)
-    return DivergenceResult(
-        False, False, tuple(fin_flags), float(scale) * float(real_val), float(scale) * float(real_err)
-    )
+    for _, f in fin_values:
+        fin_prod *= f
+    scale = Fraction(2) ** psi.n * fin_prod
+    return DivergenceResult(False, False, fin_flags, scale * real_val, scale * real_err)
 
 
 def evaluate(fn, t) -> Fraction | float:

@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if (self.psi.m, self.psi.n) != tuple(self.dims):
             raise ConfigError("psi dimensions disagree with dims")
+        if self.sample_count < 1:
+            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
         self.psi.check_places(self.places)
 
     def to_json(self) -> dict:
@@ -768,7 +770,10 @@ def load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.max_T is not None and not (0 < args.max_T < math.inf):
+        parser.error(f"--max-T must be a positive finite number, got {args.max_T}")
     if args.mode == "report":
         path = args.records or os.path.join(args.out or "out", "records.json")
         with open(path) as fh:
@@ -783,7 +788,7 @@ def main(argv=None) -> int:
         return 0
 
     config = load_config(args)
-    max_product = Fraction(args.max_T) if args.max_T else None
+    max_product = None if args.max_T is None else Fraction(args.max_T)
     result = run(config, jobs=args.jobs, max_product=max_product)
     if result.records:
         written = emit_report(result, config.out, config.formats)

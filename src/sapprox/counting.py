@@ -277,13 +277,6 @@ def _real_row_data(matrix: TruncatedMatrix) -> tuple[int, list[list[int]]]:
 
 def count_solutions(req: CountRequest) -> int:
     """Exact N_{psi,A}(T) under the congruence (p, q) = (v_m, v_n) mod N."""
-    total = 0
-    for c in _per_q_counts(req):
-        total += c
-    return total
-
-
-def _per_q_counts(req: CountRequest) -> Iterator[int]:
     m, n = req.dims
     S = req.places
     N = req.modulus
@@ -322,6 +315,7 @@ def _per_q_counts(req: CountRequest) -> Iterator[int]:
 
     cache = _CrtCache()
 
+    total = 0
     for a in reps:
         # -- per-place data for q = a / Dq
         place_data = []  # (p, j, e, residues mod p^(j+e))
@@ -410,7 +404,8 @@ def _per_q_counts(req: CountRequest) -> Iterator[int]:
                 count_q = 0
                 break
             count_q *= ci
-        yield count_q
+        total += count_q
+    return total
 
 
 # --------------------------------------------------------------------------

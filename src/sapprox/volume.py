@@ -6,7 +6,9 @@ place.  Its volume factors over the places: the real factor is
 2**n * integral of psi_inf over [0, T_inf] (times 2**m for the x-ball),
 and each finite factor is the shell sum
 sum_{k <= t_p} p**(kn) (1 - p**(-n)) psi_p(p**(kn)) with T_p = p**(t_p n),
-whose k <= 0 part telescopes exactly to 1.
+whose k <= 0 part telescopes exactly to 1.  Both local integrals come from
+the place's own ``integral_to``, the same method that
+``approx.integral_diverges`` takes to infinity.
 
 The Monte Carlo estimator is an independent oracle: it samples the bounding
 adelic box (uniform reals at the real place, uniform residues at the finite
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import _kernel
 from .approx import ApproxCollection
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, min_valuation, sup_norm
 
@@ -93,46 +96,25 @@ class VolumeResult:
         return math.isclose(float(prod), float(self.total), rel_tol=1e-12)
 
 
-def finite_place_factor(region: Region, p: int) -> Fraction:
-    """The exact factor at p: shell sum up to t_p, with the k <= 0 tail = 1."""
-    n, m = region.n, region.m
-    fn = region.psi.finite_fn(p)
-    t = region.t_block(p)
-    if t <= 0:
-        return Fraction(p) ** (t * n)  # pure geometric tail: vol of the T_p ball
-    total = Fraction(1)
-    shell = 1 - Fraction(p) ** (-n)
-    for k in range(1, t + 1):
-        total += Fraction(p) ** (k * n) * shell * Fraction(p) ** (-m * fn.z_at_block(k))
-    return total
-
-
 def volume_exact(region: Region) -> VolumeResult:
     """The factored volume of E_psi(T), exact whenever the real-place kind
     admits a closed rational form (plateau, rational power data, step data);
     otherwise the real factor carries an explicit absolute error bound."""
     m, n = region.m, region.n
     val, err = region.psi.real.integral_to(region.profile.t_inf)
+    # a Fraction times a float val is float(Fraction) * val
     two_n = Fraction(2) ** n
-    if isinstance(val, Fraction):
-        real_factor: Fraction | float = two_n * val
-        real_error: Fraction | float = two_n * err
-    else:
-        real_factor = float(two_n) * float(val)
-        real_error = float(two_n) * float(err)
-
-    fin = tuple((p, finite_place_factor(region, p)) for p in region.places.primes)
+    real_factor = two_n * val
+    real_error = two_n * err
+    fin = tuple(
+        (p, region.psi.finite_fn(p).integral_to(region.t_block(p)))
+        for p in region.places.primes
+    )
     fin_prod = Fraction(1)
     for _, f in fin:
         fin_prod *= f
     scale = Fraction(2) ** m * fin_prod
-    if isinstance(real_factor, Fraction):
-        total: Fraction | float = scale * real_factor
-        total_error: Fraction | float = scale * real_error
-    else:
-        total = float(scale) * real_factor
-        total_error = float(scale) * float(real_error)
-    return VolumeResult(m, n, real_factor, real_error, fin, total, total_error)
+    return VolumeResult(m, n, real_factor, real_error, fin, scale * real_factor, scale * real_error)
 
 
 # --------------------------------------------------------------------------
@@ -250,11 +232,13 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
                 for p, t, dy, dx, fn in fin_data:
                     ry_res = [rng.randrange(p**dy) for _ in range(n)]
                     rx_res = [rng.randrange(p**dx) for _ in range(m)]
-                    mv_y = min((_capped_val(r, p, dy) for r in ry_res), default=dy)
+                    # residues are known mod p**depth: a nonzero one has
+                    # valuation below depth, and 0 stands for depth
+                    mv_y = min((_kernel.valuation(r, p) if r else dy for r in ry_res), default=dy)
                     kappa = t - mv_y
                     z = fn.z_at_block(kappa) if kappa >= 1 else 0
                     if z > 0:
-                        mv_x = min(_capped_val(r, p, dx) for r in rx_res)
+                        mv_x = min(_kernel.valuation(r, p) if r else dx for r in rx_res)
                         if mv_x < z:
                             ok = False
                             break
@@ -290,14 +274,3 @@ def mc_agrees(exact: VolumeResult, mc: MonteCarloResult) -> bool:
     ratio = min(max(total / box, 0.0), 1.0)
     se = box * math.sqrt(ratio * (1 - ratio) / mc.samples)
     return abs(total - mc.estimate) <= 4 * se + float(exact.total_error) + 1e-9
-
-
-def _capped_val(residue: int, p: int, depth: int) -> int:
-    """Valuation of a residue known mod p**depth, capped at depth."""
-    if residue == 0:
-        return depth
-    v = 0
-    while residue % p == 0:
-        residue //= p
-        v += 1
-    return v

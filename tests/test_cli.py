@@ -90,6 +90,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dichotomy"):
             run(cfg)
 
+    @pytest.mark.parametrize("mode", ["asymptotic", "dichotomy"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_sample_count_must_be_positive(self, mode, count):
+        with pytest.raises(ConfigError, match=r"sample_count must be >= 1"):
+            dataclasses.replace(default_config(mode), sample_count=count)
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_max_T_must_be_positive_and_finite(self, value, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sapprox.cli.run", lambda *a, **k: pytest.fail(f"--max-T {value} reached run")
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotic", "--max-T", value])
+        assert exc.value.code == 2
+        assert "--max-T must be a positive finite number" in capsys.readouterr().err
+
 
 class TestRunAndReports:
     def test_volume_mode_contains_exact_16(self):
