@@ -29,6 +29,7 @@ always an exact Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,8 +359,10 @@ class LogLaw(RealApproxFunction):
                     return max(klo, 0)
         raise UndecidedComparison(f"root threshold tie at t={t}")
 
+    @functools.cached_property
     def _crossover(self) -> tuple[Fraction, Fraction]:
-        """Rational bracket [lo, hi] of the plateau end t0 (t0*(ln t0)**b = c)."""
+        """Rational bracket [lo, hi] of the plateau end t0 (t0*(ln t0)**b = c).
+        It depends only on (c, b), so it is computed once per function."""
         lo, hi = Fraction(1), Fraction(2)
         while self.leq_value(Fraction(1), hi):  # still on the plateau at hi
             lo, hi = hi, hi * 2
@@ -382,7 +385,7 @@ class LogLaw(RealApproxFunction):
             T = Fraction(T)
             if T <= 1 or self.leq_value(Fraction(1), T):
                 return T, Fraction(0)  # entirely on the plateau
-        lo, hi = self._crossover()
+        lo, hi = self._crossover
         with mpmath.workdps(30):
             f = lambda r: _to_mpf(self.c) / (r * mpmath.log(r) ** _to_mpf(self.b))
             end = mpmath.inf if to_inf else _to_mpf(T)

@@ -27,6 +27,7 @@ from .counting import (
     default_dirichlet_constants,
     dirichlet_solve,
     discrepancy,
+    is_symmetric,
     profile_count_bound,
     rescale_congruence,
     verify_dirichlet,
@@ -331,6 +332,45 @@ def check_oracle_equivalence(rng: random.Random, rounds: int = 40):
     return True, f"{rounds} requests"
 
 
+def check_ladder_counts(rng: random.Random, rounds: int = 40, brute_steps: int = 2):
+    """count_solutions over a nested ladder of 2-4 steps equals the
+    one-profile count at every step, and the brute force on the first
+    ``brute_steps`` steps.  Half the requests get a zero shift, so both the
+    symmetric pass (2v = 0 mod N) and the full pass run; the detail reports
+    how many of each."""
+    import dataclasses
+
+    kinds = {True: 0, False: 0}
+    for i in range(rounds):
+        req = random_request(rng)
+        m, n = req.dims
+        if rng.random() < 0.5:
+            req = dataclasses.replace(req, shift=())
+        while True:
+            exps = {p: n * rng.randint(-1, 1) for p in req.places.primes}
+            ladder = [NormProfile.of(req.profile.t_inf, exps)]
+            for _ in range(rng.randint(1, 3)):
+                exps = {p: e + n * rng.randint(0, 1) for p, e in exps.items()}
+                t_inf = ladder[-1].t_inf * rng.choice([1, Fraction(5, 4), Fraction(3, 2)]) ** n
+                ladder.append(NormProfile.of(t_inf, exps))
+            D = 1
+            for p, e in exps.items():
+                D *= p ** max(e // n, 0)
+            if (2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n <= 4000:  # keep it quick
+                break
+        req = dataclasses.replace(req, profile=ladder[-1])
+        kinds[is_symmetric(req)] += 1
+        counts = count_solutions(req, ladder)
+        for step, prof in enumerate(ladder):
+            one = dataclasses.replace(req, profile=prof)
+            single = count_solutions(one)
+            if counts[step] != single:
+                return False, f"instance {i} step {step}: ladder {counts[step]} != {single}"
+            if step < brute_steps and counts[step] != count_solutions_bruteforce(one):
+                return False, f"instance {i} step {step}: ladder {counts[step]} != brute force"
+    return True, f"{rounds} ladders; {kinds[True]} symmetric, {kinds[False]} asymmetric"
+
+
 def check_residue_partition(rng: random.Random, rounds: int = 8):
     """Summing the count over all N^d residue classes recovers the N=1 count."""
     import dataclasses
@@ -552,6 +592,7 @@ ALL_CHECKS = [
     ("scaling-exponent", lambda rng: check_scaling_exponent(rng)),
     ("oracle-equivalence", lambda rng: check_oracle_equivalence(rng)),
     ("residue-partition", lambda rng: check_residue_partition(rng)),
+    ("ladder-counts", lambda rng: check_ladder_counts(rng)),
     ("rescale-identity", lambda rng: check_rescale_identity(rng)),
     ("discrepancy-sandwich", lambda rng: check_discrepancy_sandwich(rng)),
     ("dirichlet-existence", lambda rng: check_dirichlet(rng)),

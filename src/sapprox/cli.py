@@ -25,10 +25,10 @@ from typing import Mapping, Sequence
 from .approx import ApproxCollection, integral_diverges, psi_one
 from .counting import (
     CountRequest,
-    InsufficientPrecision,
     count_solutions,
     default_dirichlet_constants,
     dirichlet_solve,
+    precision_needed,
     verify_dirichlet,
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
@@ -203,6 +203,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One ladder step of one A-sample.  A sample's steps are counted in
+    one pass, so ``elapsed`` holds the whole pass (with any deepening) on
+    step 0 and 0.0 on later steps, and ``events`` sits on step 0; summing
+    ``elapsed`` over a sample's steps gives its counting time."""
+
     sample: int
     seed: int
     step: int
@@ -237,36 +242,35 @@ def _sampler_config(config: ExperimentConfig, sample_index: int) -> SamplerConfi
     )
 
 
-def _count_with_recovery(req: CountRequest, retries: int = 8):
-    """Count, deepening the matrix on InsufficientPrecision.  Returns the
-    count, the recovery events, and the (possibly deepened) matrix so later
-    ladder steps reuse the extra digits."""
+def _deepened(req: CountRequest) -> tuple[CountRequest, list[str]]:
+    """Deepen the matrix, once and before counting, to the precision the
+    request's box needs (``precision_needed``); returns the request with the
+    deepened matrix and one ``deepen p=.. K=..->..`` event per place."""
     events: list[str] = []
-    last = None
-    for _ in range(retries):
-        try:
-            return count_solutions(req), events, req.matrix
-        except InsufficientPrecision as exc:
-            last = exc
-            new_k = exc.needed + 4
-            events.append(f"deepen p={exc.place} K={exc.available}->{new_k}")
-            req = dataclasses.replace(req, matrix=deepen(req.matrix, exc.place, new_k))
-    raise last  # pragma: no cover
+    A = req.matrix
+    for p, need in precision_needed(req).items():
+        if need > A.K(p):
+            events.append(f"deepen p={p} K={A.K(p)}->{need}")
+            A = deepen(A, p, need)
+    return dataclasses.replace(req, matrix=A), events
 
 
 def _sample_records(args) -> list[RunRecord]:
-    """Counts for one A-sample along the ladder (worker for the sample pool)."""
+    """Counts for one A-sample along the ladder (worker for the sample pool),
+    from one counting pass over the ladder's largest box."""
     config, sample_index, profiles, volumes = args
     scfg = _sampler_config(config, sample_index)
     A = sample_matrix(scfg)
     N = config.modulus
     d = sum(config.dims)
+    start = time.perf_counter()
+    req, events = _deepened(
+        CountRequest(config.places, A, config.psi, profiles[-1], N, config.shift)
+    )
+    counts = count_solutions(req, profiles)
+    elapsed = time.perf_counter() - start
     records = []
-    for step, (prof, vol) in enumerate(zip(profiles, volumes)):
-        req = CountRequest(config.places, A, config.psi, prof, N, config.shift)
-        start = time.perf_counter()
-        cnt, events, A = _count_with_recovery(req)
-        elapsed = time.perf_counter() - start
+    for step, (prof, vol, cnt) in enumerate(zip(profiles, volumes, counts)):
         ratio = cnt * N**d / float(vol) if float(vol) else math.inf
         records.append(
             RunRecord(
@@ -278,8 +282,8 @@ def _sample_records(args) -> list[RunRecord]:
                 volume=str(vol),
                 count=cnt,
                 ratio=ratio,
-                elapsed=elapsed,
-                events=tuple(events),
+                elapsed=elapsed if step == 0 else 0.0,
+                events=tuple(events) if step == 0 else (),
             )
         )
     return records
@@ -787,9 +791,12 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         return 0
 
-    config = load_config(args)
     max_product = None if args.max_T is None else Fraction(args.max_T)
-    result = run(config, jobs=args.jobs, max_product=max_product)
+    try:
+        config = load_config(args)
+        result = run(config, jobs=args.jobs, max_product=max_product)
+    except ConfigError as exc:
+        parser.error(str(exc))
     if result.records:
         written = emit_report(result, config.out, config.formats)
         for path in written:

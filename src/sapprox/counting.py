@@ -11,7 +11,10 @@ becomes one congruence per place).  All congruences merge into a single
 modulus via the Chinese remainder theorem -- the moduli are pairwise
 coprime by construction -- and the real-place window is resolved by the
 closed-form arithmetic-progression counter, so the cost per q is
-independent of the size of the real box.
+independent of the size of the real box.  The count at q does not depend on
+the profile, so one pass over the largest box of a nested ladder counts
+every step of it, and the q -> -q symmetry halves the pass when the
+congruence allows it.
 
 A direct brute-force twin checks every candidate pair against the defining
 inequalities and serves as the oracle for the fast path.
@@ -19,9 +22,11 @@ inequalities and serves as the oracle for the fast path.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -275,13 +280,50 @@ def _real_row_data(matrix: TruncatedMatrix) -> tuple[int, list[list[int]]]:
     return R, nums
 
 
-def count_solutions(req: CountRequest) -> int:
-    """Exact N_{psi,A}(T) under the congruence (p, q) = (v_m, v_n) mod N."""
+def is_symmetric(req: CountRequest) -> bool:
+    """True when (p, q) -> (-p, -q) maps the counted set onto itself: every
+    coordinate v of the shift has 2v = 0 (mod N), so -v is congruent to v.
+    The map keeps every norm, so then c(-q) = c(q).  N = 1 always qualifies."""
+    N = req.modulus
+    return all((2 * v).numerator % N == 0 for v in req.shift)
+
+
+def precision_needed(req: CountRequest) -> dict[int, int]:
+    """The matrix precision K_p at each finite place with which
+    count_solutions(req) never raises InsufficientPrecision.
+
+    A q of the box needs z_p(kappa) + kappa digits at p, where kappa =
+    -min_j v_p(q_j) never exceeds d_p = max(e_p / n, 0), so the maximum over
+    1 <= k <= d_p suffices.  With N = 1 it is also necessary: the box then
+    holds q = p**(-k) e_1 for every k <= d_p."""
+    n = req.dims[1]
+    out = {}
+    for p in req.places.primes:
+        fn = req.psi.finite_fn(p)
+        dq = max(req.profile.exponent(p) // n, 0)
+        out[p] = max((fn.z_at_block(k) + k for k in range(1, dq + 1)), default=0)
+    return out
+
+
+def count_solutions(
+    req: CountRequest, ladder: Sequence[NormProfile] | None = None
+) -> int | list[int]:
+    """Exact N_{psi,A}(T) under the congruence (p, q) = (v_m, v_n) mod N.
+
+    With a ``ladder`` of nested profiles ending at ``req.profile``, returns
+    the list of counts at every step, from one pass over the last (largest)
+    box: the per-q count c(q) does not depend on the profile, so each q adds
+    c(q) to the bucket of the first step whose box holds it, and the counts
+    are the prefix sums of the buckets.  When ``is_symmetric(req)``, the pass
+    skips each q whose first nonzero coordinate is negative and counts every
+    other nonzero q twice.
+    """
     m, n = req.dims
     S = req.places
     N = req.modulus
     psi = req.psi
     real_fn = psi.real
+    profiles = _check_ladder(req, ladder)
 
     u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
     cong = (N, req.v_n) if N > 1 else None
@@ -290,6 +332,11 @@ def count_solutions(req: CountRequest) -> int:
     R, Areal = _real_row_data(req.matrix)
     gd = R * Dq  # denominator of (A_inf q)_i for integer representatives a
     Dqn = Dq**n
+    # q lies in step i's real box iff max_j |a_j| <= B_i
+    real_bounds = [
+        _kernel.introot((Dqn * prof.t_inf.numerator) // prof.t_inf.denominator, n)
+        for prof in profiles
+    ]
 
     fin = []
     for p in S.primes:
@@ -305,6 +352,8 @@ def count_solutions(req: CountRequest) -> int:
                 dq,
                 Dq // p**dq,  # the prime-to-p part of Dq
                 z_table,
+                # q lies in step i's box at p iff kappa <= u_i
+                [prof.exponent(p) // n for prof in profiles],
             )
         )
 
@@ -315,12 +364,21 @@ def count_solutions(req: CountRequest) -> int:
 
     cache = _CrtCache()
 
-    total = 0
+    symmetric = is_symmetric(req)
+    zero = (0,) * n
+    buckets = [0] * len(profiles)
     for a in reps:
+        weight = 1
+        if symmetric:
+            if a < zero:  # lexicographically: the first nonzero a_j < 0
+                continue
+            if a != zero:
+                weight = 2
         # -- per-place data for q = a / Dq
         place_data = []  # (p, j, e, residues mod p^(j+e))
         D = 1
-        for p, K, rows, dq, dq_unit, z_table in fin:
+        step = 0  # the first ladder step whose box holds q
+        for p, K, rows, dq, dq_unit, z_table, u_steps in fin:
             minv = None
             for aj in a:
                 if aj:
@@ -334,6 +392,10 @@ def count_solutions(req: CountRequest) -> int:
             k_eff = 0 if kappa is None else max(kappa, 0)
             if j + k_eff > K:
                 raise InsufficientPrecision(p, j + k_eff, K)
+            if kappa is not None:
+                entry = bisect_left(u_steps, kappa)
+                if entry > step:
+                    step = entry
             svals = []
             e = 0
             for i in range(m):
@@ -404,8 +466,28 @@ def count_solutions(req: CountRequest) -> int:
                 count_q = 0
                 break
             count_q *= ci
-        total += count_q
-    return total
+        if count_q:
+            entry = bisect_left(real_bounds, amax)
+            if entry > step:
+                step = entry
+            buckets[step] += weight * count_q
+    counts = list(itertools.accumulate(buckets))
+    return counts if ladder is not None else counts[0]
+
+
+def _check_ladder(req: CountRequest, ladder) -> list[NormProfile]:
+    """The ladder's profiles, after checking that it is nested and ends at
+    ``req.profile``; a missing ladder is the one-step ladder of that profile."""
+    if ladder is None:
+        return [req.profile]
+    steps = list(ladder)
+    if not steps or steps[-1] != req.profile:
+        raise ValueError("the ladder must end at the request's profile")
+    for small, big in zip(steps, steps[1:]):
+        dataclasses.replace(req, profile=small)  # checks its places and exponents
+        if not big.dominates(small):
+            raise ValueError(f"ladder step {big} does not dominate {small}")
+    return steps
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from sapprox.cli import (
     result_from_json,
     run,
 )
+from sapprox.counting import CountRequest, count_solutions_bruteforce
+from sapprox.sampler import SamplerConfig, deepen, sample_matrix
 from sapprox.sring import PlaceSet
 
 
@@ -106,6 +109,20 @@ class TestConfig:
         assert exc.value.code == 2
         assert "--max-T must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["asymptotic", "--samples", "0"], "sample_count must be >= 1, got 0"),
+            (["dichotomy", "--max-T", "5"], "dichotomy mode needs at least four ladder steps"),
+        ],
+    )
+    def test_config_error_is_a_usage_error(self, argv, message, capsys):
+        # one from load_config, one from run
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRunAndReports:
     def test_volume_mode_contains_exact_16(self):
@@ -176,6 +193,45 @@ class TestRunAndReports:
         seq = run(cfg, jobs=1)
         par = run(cfg, jobs=2)
         assert records_to_csv(cfg, seq.records) == records_to_csv(cfg, par.records)
+
+    def test_campaign_deepens_once_before_counting(self):
+        # z_k = 3k needs K_2 >= z_3 + 3 = 12 at the last step (T_2 = 2**3);
+        # the sampler gives 2 digits, so step 0 deepens once, to 12
+        places = PlaceSet((2,))
+        psi = ApproxCollection.of(
+            PowerLaw(Fraction(1), Fraction(1)),
+            {2: FiniteApproxFunction(2, 1, 1, (), ("linear", 3, 0))},
+            1,
+            1,
+        )
+        cfg = dataclasses.replace(
+            default_config("dichotomy"),
+            psi=psi,
+            schedule=Schedule(Fraction(2), Fraction(2), 4, ((2, 0),), ((2, 1),)),
+            precision=((2, 2),),
+            real_resolution=2**12,
+            sample_count=2,
+        )
+        res = run(cfg)
+        profiles = cfg.schedule.profiles(1)
+        for rec in res.records:
+            if rec.step == 0:
+                assert len(rec.events) == 1
+                # the event text the benchmark's correctness gate replays
+                p, k = re.fullmatch(r"deepen p=(\d+) K=\d+->(\d+)", rec.events[0]).groups()
+                assert (p, k) == ("2", "12")
+                A = deepen(
+                    sample_matrix(
+                        SamplerConfig.of(rec.seed, cfg.dims, places, {2: 2}, 2**12)
+                    ),
+                    int(p),
+                    int(k),
+                )
+            else:
+                assert rec.events == ()
+                assert rec.elapsed == 0.0
+            req = CountRequest(places, A, psi, profiles[rec.step])
+            assert rec.count == count_solutions_bruteforce(req)
 
     def test_dirichlet_mode(self):
         cfg = dataclasses.replace(default_config("dirichlet"), sample_count=5)

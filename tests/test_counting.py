@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapprox.approx import ApproxCollection, FiniteApproxFunction, LogLaw, PowerLaw, psi_one
 from sapprox.checks import (
     check_discrepancy_sandwich,
+    check_ladder_counts,
     check_oracle_equivalence,
     check_profile_bounds,
     check_rescale_identity,
@@ -176,6 +179,49 @@ class TestCountSolutions:
             cfg = SamplerConfig.of(seed, (1, 1), S2, {2: 10}, 2**10)
             req = CountRequest(S2, sample_matrix(cfg), psi, NormProfile.of(Fraction(6), {2: 1}))
             assert count_solutions(req) == count_solutions_bruteforce(req)
+
+
+class TestLadder:
+    """count_solutions(req, ladder): every step's count from one pass."""
+
+    @staticmethod
+    def request(profile, modulus=1, shift=()):
+        cfg = SamplerConfig.of(43, (2, 1), S2, {2: 10}, 2**12)
+        return CountRequest(S2, sample_matrix(cfg), psi_one(S2, 2, 1), profile, modulus, shift)
+
+    LADDER = [NormProfile.of(Fraction(2), {2: 0}), NormProfile.of(Fraction(3), {2: 1})]
+
+    def test_one_step_ladder_is_the_single_count(self):
+        req = self.request(self.LADDER[-1])
+        assert count_solutions(req, [req.profile]) == [count_solutions(req)]
+
+    def test_ladder_counts_every_step(self):
+        for modulus, shift in ((1, ()), (3, (Fraction(1), Fraction(2), Fraction(0)))):
+            req = self.request(self.LADDER[-1], modulus, shift)
+            assert count_solutions(req, self.LADDER) == [
+                count_solutions_bruteforce(dataclasses.replace(req, profile=prof))
+                for prof in self.LADDER
+            ]
+
+    def test_ladder_must_end_at_the_profile(self):
+        req = self.request(self.LADDER[-1])
+        with pytest.raises(ValueError, match="end at"):
+            count_solutions(req, self.LADDER[:1])
+        with pytest.raises(ValueError, match="end at"):
+            count_solutions(req, [])
+
+    def test_ladder_must_be_nested(self):
+        # the real bound grows but the 2-adic one shrinks
+        small = NormProfile.of(Fraction(1), {2: 2})
+        req = self.request(self.LADDER[-1])
+        with pytest.raises(ValueError, match="dominate"):
+            count_solutions(req, [small, self.LADDER[-1]])
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_ladder_matches_single_counts_and_brute_force(self, seed):
+        ok, detail = check_ladder_counts(random.Random(seed), rounds=3)
+        assert ok, detail
 
 
 class TestDirichlet:
