@@ -14,9 +14,14 @@ of a rational).  Each real kind therefore evaluates exactly in one place,
 from it: the exact value (a Fraction or :class:`RootVal`), the comparison
 lhs <= psi(t) and the integer root threshold all cross-multiply integers.
 Only the logarithmic family with b > 0 has no exact value (its triple is
-None): its comparisons run in rigorous interval arithmetic with escalating
-precision and raise :class:`UndecidedComparison` on a persistent tie
-instead of ever miscounting.
+None).  Its decisions are float-first: one float evaluation of the law in
+the log domain, with a proven error budget, decides every comparison and
+root threshold that is not a near-tie (the filtered-predicate pattern of
+Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  A near-tie falls
+back to rigorous interval arithmetic with escalating precision, which
+raises :class:`UndecidedComparison` on a persistent tie instead of ever
+miscounting.  ``root_bracket`` hands the counter the float answer as an
+integer bracket around the exact root threshold.
 
 Each function has one local integral, ``integral_to``: up to T_inf at the
 real place and up to block t_p at a finite place.  The volume of E_psi(T)
@@ -109,6 +114,32 @@ def _mpf_with_error(expr) -> tuple[float, float]:
         return float(v), float(err)
 
 
+# unit roundoff of an IEEE-754 double
+_U = 2.0**-53
+_LN2 = math.log(2.0)
+#: relative slack of every float decision on the log law
+FILTER_SLACK = 1e-9
+# the largest error bound a float log of the law may carry into a decision,
+# a thousandth of the slack (see LogLaw._log_g)
+_FILTER_BUDGET = FILTER_SLACK / 1000
+# the largest |ln x| of a lhs or a multiplier the filter takes
+_LN_CAP = 1024
+
+
+def _ln(x: Fraction) -> float:
+    """ln x in floats for a positive rational x, big ints included, with
+    absolute error at most 5u(|ln x| + 2), u = 2**-53."""
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    if -2 < k < 2:  # 1/4 < x < 4: log1p keeps the relative accuracy near 1
+        return math.log1p((n - d) / d)
+    if -1000 < k < 1000:
+        return math.log(n / d)
+    # scale into (1/2, 2) by an exact power of two before any rounding
+    y = n / (d << k) if k > 0 else (n << -k) / d
+    return math.log(y) + k * _LN2
+
+
 # --------------------------------------------------------------------------
 # real-place approximation functions
 
@@ -168,6 +199,12 @@ class RealApproxFunction:
         num = vn * mult.numerator**w
         den = vd * mult.denominator**w
         return _kernel.introot(num // den, e * w)
+
+    def root_bracket(self, t: Fraction, mult: Fraction, e: int) -> tuple[int, int]:
+        """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi.  The
+        exact kinds return (K, K); the log law answers from floats."""
+        K = self.max_root_leq(t, mult, e)
+        return K, K
 
     def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
         """(value, absolute error bound) for the integral over [0, T], T
@@ -263,7 +300,8 @@ class LogLaw(RealApproxFunction):
 
     c > 0, b >= 0.  The classical borderline family: the tail integral
     converges exactly when b > 1.  Values are transcendental, so decisions
-    run in interval arithmetic.
+    are made in floats with a proven error budget (``_log_g``) and, on a
+    near-tie, in interval arithmetic.
     """
 
     c: Fraction
@@ -289,10 +327,70 @@ class LogLaw(RealApproxFunction):
 
     def value_float(self, t):
         t = Fraction(t)
-        if t <= 1:
-            return 1.0
-        g = float(self.c) / (float(t) * math.log(float(t)) ** float(self.b))
-        return min(1.0, g)
+        if t <= 1 or self.b == 0:
+            return super().value_float(t)
+        return math.exp(min(self._log_g(t)[0], 0.0))
+
+    def _log_g(self, t: Fraction) -> tuple[float, bool]:
+        """(ln g(t), decided) in floats, for g(t) = c / (t (ln t)**b), t > 1
+        and b > 0.
+
+        It works in the log domain, ln g = ln c - L1 - b*L2 with L1 = ln t
+        and L2 = ln L1, so a huge t cannot overflow.  ``decided`` is False,
+        and the value may not decide anything, for t <= 2 (where ln ln t
+        loses its relative accuracy), for a non-finite value, for an error
+        bound over the budget, and for |ln g| <= FILTER_SLACK, a g within
+        the slack of the plateau value 1.
+
+        Error budget, with u = 2**-53:
+
+        - IEEE-754 +, -, * and / and CPython's int/int true division (so
+          also ``float(Fraction)``) are correctly rounded: relative error
+          at most u.  ``math.log``, ``math.log1p`` and ``math.exp`` are
+          taken to be faithful, within 1 ulp: relative error at most 2u.
+          No float ``**`` is used.
+        - ``_ln(x)`` never converts a big int to a float: an x outside
+          (2**-1000, 2**1000) is first scaled into (1/2, 2) by an exact
+          shift, and k*ln 2 is added back.  Its absolute error is at most
+          5u(|ln x| + 2) for every positive rational x.
+        - t > 2 gives L1 >= ln 2 > 0.69, so L1 has relative error below
+          5u(1 + 2/0.69) < 20u, and L2 = log(L1) is off by at most
+          20.1u + 2u|L2|.  float(b) adds u/2 relative and the product b*L2
+          adds u, so b*L2 is off by at most b(20.1u + 3.5u|L2|).  The two
+          subtractions add at most 2u(|ln c| + L1 + b|L2|).  In all:
+
+              |error of ln g| <= err_g = 8u (|ln c| + L1 + b(3 + |L2|) + 3).
+
+        - A decision is claimed only when err_g <= budget = slack / 1000 =
+          1e-12.  For c = 1 that holds for b up to about 130 at
+          t <= e**100 and for b up to about 12 at t = e**1000; a very large
+          b, or a larger t, goes to the interval path.  The budget also
+          bounds |ln g| <= err_g / 8u < 1126.
+        - ``leq_value`` compares ln g with ln lhs, where |ln lhs| <= 1024:
+          error at most 1e-12 + 5u(1026) + u(1126 + 1024) < 1.9e-12.
+        - ``root_bracket`` takes (g*mult)**(1/e) = exp((ln g + ln mult)/e)
+          with |ln mult| <= 1024, a little past the float range (709.8).
+          ln mult adds at most 5u(1026) = 5.7e-13, or 4.0e-13 within the
+          float range.  The sum, the division and exp add at most
+          u(1126 + 1024)(1 + 1) + 2u = 4.8e-13.  So the relative error of
+          the root is below 1e-12 + 5.7e-13 + 4.8e-13 < 2.1e-12.
+
+        The slack 1e-9 covers each of these by a factor of more than 450.
+        So a float decision stays sound even if libm were off by a few
+        hundred ulp.
+        """
+        ln_c, L1 = _ln(self.c), _ln(t)
+        L2 = math.log(L1) if L1 > 0 else -math.inf  # t - 1 below the float range
+        b = float(self.b)
+        ln_g = ln_c - L1 - b * L2
+        err_g = 8 * _U * (abs(ln_c) + L1 + b * (3 + abs(L2)) + 3)
+        decided = (
+            t > 2
+            and math.isfinite(ln_g)
+            and err_g <= _FILTER_BUDGET
+            and abs(ln_g) > FILTER_SLACK
+        )
+        return ln_g, decided
 
     def _g_interval(self, t: Fraction, prec: int):
         """Rigorous enclosure of c / (t * ln(t)**b) for t > 1."""
@@ -311,8 +409,17 @@ class LogLaw(RealApproxFunction):
         t, lhs = Fraction(t), Fraction(lhs)
         if lhs > 1:
             return False
-        if t <= 1 or self.b == 0:
+        if t <= 1 or self.b == 0 or lhs <= 0:
             return super().leq_value(lhs, t)
+        # for lhs <= 1, lhs <= min(1, g) iff lhs <= g
+        ln_g, decided = self._log_g(t)
+        if decided:
+            ln_lhs = _ln(lhs)
+            if abs(ln_lhs) <= _LN_CAP:
+                if ln_g - ln_lhs > FILTER_SLACK:
+                    return True
+                if ln_g - ln_lhs < -FILTER_SLACK:
+                    return False
         iv = mpmath.iv
         for prec in (64, 128, 512, 2048):
             old = iv.prec
@@ -359,6 +466,24 @@ class LogLaw(RealApproxFunction):
                     return max(klo, 0)
         raise UndecidedComparison(f"root threshold tie at t={t}")
 
+    def root_bracket(self, t, mult, e):
+        t, mult = Fraction(t), Fraction(mult)
+        ln_g, decided = self._log_g(t) if self.b and t > 2 else (0.0, False)
+        if decided:
+            if ln_g > 0:  # plateau: psi = 1 exactly
+                K = _kernel.introot(mult.numerator // mult.denominator, e)
+                return K, K
+            ln_mult = _ln(mult)
+            ln_root = (ln_g + ln_mult) / e
+            if abs(ln_mult) <= _LN_CAP and ln_root < 700:
+                root = math.exp(ln_root)
+                # the true root is within 2.1e-12 relative of root (_log_g)
+                return (
+                    math.floor(root * (1 - FILTER_SLACK)),
+                    math.floor(root * (1 + FILTER_SLACK)),
+                )
+        return super().root_bracket(t, mult, e)
+
     @functools.cached_property
     def _crossover(self) -> tuple[Fraction, Fraction]:
         """Rational bracket [lo, hi] of the plateau end t0 (t0*(ln t0)**b = c).
@@ -387,7 +512,8 @@ class LogLaw(RealApproxFunction):
                 return T, Fraction(0)  # entirely on the plateau
         lo, hi = self._crossover
         with mpmath.workdps(30):
-            f = lambda r: _to_mpf(self.c) / (r * mpmath.log(r) ** _to_mpf(self.b))
+            c, b = _to_mpf(self.c), _to_mpf(self.b)
+            f = lambda r: c / (r * mpmath.log(r) ** b)
             end = mpmath.inf if to_inf else _to_mpf(T)
             val, quad_err = mpmath.quad(f, [_to_mpf(hi), end], error=True)
             total = _to_mpf(lo) + val
@@ -498,6 +624,11 @@ class Scaled(RealApproxFunction):
 
     def max_root_leq(self, t, mult, e):
         return self.base.max_root_leq(
+            Fraction(t) * self.arg_scale, mult * self.value_scale, e
+        )
+
+    def root_bracket(self, t, mult, e):
+        return self.base.root_bracket(
             Fraction(t) * self.arg_scale, mult * self.value_scale, e
         )
 

@@ -12,9 +12,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 from .approx import (
     FiniteApproxFunction,
+    LogLaw,
     PowerLaw,
+    Scaled,
     UserStep,
     evaluate,
     inflate,
@@ -238,6 +242,112 @@ def check_inflate_sandwich(rng: random.Random, rounds: int = 30):
             if abs(float(evaluate(back.real, t)) - v0) > 1e-12:
                 return False, f"inverse pair fails at t={t}"
     return True, f"{rounds} collections"
+
+
+class _IntervalOnly(LogLaw):
+    """The log law with its float filter off: every decision runs in
+    interval arithmetic."""
+
+    def _log_g(self, t):
+        return super()._log_g(t)[0], False
+
+
+def check_loglaw_filter(rng: random.Random, rounds: int = 200, ties: int = 30):
+    """The float filter of the log law against interval arithmetic, on
+    LogLaw and Scaled(LogLaw) with b in {1/2, 1, 2, 3}.  On random (t, lhs,
+    mult, e), root_bracket contains the interval max_root_leq and the
+    filtered leq_value equals the interval decision.  Built near-ties, g*mult
+    within 1e-12 relative of some k**e and lhs the float-rounded psi(t), must
+    take the fallback and still give the exact answer.  The detail reports
+    how many decisions the filter made and how many fell back."""
+    tally = {True: 0, False: 0}  # decided by the filter or not
+    intervals = [0]
+
+    class _Watched(LogLaw):
+        """The log law, counting its interval evaluations."""
+
+        def _g_interval(self, t, prec):
+            intervals[0] += 1
+            return super()._g_interval(t, prec)
+
+    def draw():
+        c = Fraction(rng.randint(1, 16), rng.randint(1, 4))
+        b = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)))
+        if rng.random() < 0.5:
+            vs = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            fn, ref = (Scaled(cls(c, b), vs, lam) for cls in (_Watched, _IntervalOnly))
+        else:
+            vs = lam = Fraction(1)
+            fn, ref = _Watched(c, b), _IntervalOnly(c, b)
+        return fn, ref, c, b, vs, lam
+
+    def root_case(fn, ref, t, mult, e, tie):
+        before = intervals[0]
+        lo, hi = fn.root_bracket(t, mult, e)
+        filtered = lo == hi and intervals[0] == before
+        want = ref.max_root_leq(t, mult, e)
+        got = lo if filtered else fn.max_root_leq(t, mult, e)
+        tally[filtered] += 1
+        if not lo <= want <= hi or got != want:
+            return f"root: bracket ({lo}, {hi}) gives {got}, interval {want}"
+        if tie and filtered:
+            return f"root near-tie decided by the filter as {got}"
+        return None
+
+    def leq_case(fn, ref, lhs, t, tie):
+        before = intervals[0]
+        got = fn.leq_value(lhs, t)
+        filtered = intervals[0] == before
+        want = ref.leq_value(lhs, t)
+        tally[filtered] += 1
+        if got != want:
+            return f"leq: filtered {got}, interval {want}"
+        if tie and filtered:
+            return "leq near-tie decided by the filter"
+        return None
+
+    for i in range(rounds + ties):
+        fn, ref, c, b, vs, lam = draw()
+        e = rng.randint(1, 3)
+        if i < rounds:
+            # base-level t > 1, lhs in (0, 1] and mult, mapped through the scales
+            if rng.random() < 0.1:
+                tb = 1 + Fraction(rng.randint(1, 1000), 1000)
+            else:
+                tb = Fraction(rng.randint(2, 10 ** rng.randint(1, 9)), rng.randint(1, 5)) + 1
+            lhs = min(Fraction(rng.randint(1, 1000), 10 ** rng.randint(3, 9)), Fraction(1))
+            mult = Fraction(rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 20))
+            errs = [
+                root_case(fn, ref, tb / lam, mult / vs, e, False),
+                leq_case(fn, ref, lhs * vs, tb / lam, False),
+            ]
+        else:
+            # off the plateau: g(t) <= 16 / (20 sqrt(ln 20)) < 1
+            tb = Fraction(rng.randint(20, 10**6), rng.randint(1, 3)) + 20
+            with mpmath.workdps(50):
+                g = mpmath.mpf(c.numerator) / c.denominator / (
+                    mpmath.mpf(tb.numerator) / tb.denominator
+                    * mpmath.log(mpmath.mpf(tb.numerator) / tb.denominator)
+                    ** (mpmath.mpf(b.numerator) / b.denominator)
+                )
+                k = rng.randint(1, 10**4)
+                x = k**e / g * (1 + mpmath.mpf(rng.uniform(-1, 1)) * mpmath.mpf("1e-12"))
+                mult = Fraction(int(x * 2**64), 2**64)
+            t = tb / lam
+            errs = [
+                root_case(fn, ref, t, mult / vs, e, True),
+                leq_case(fn, ref, Fraction(fn.value_float(t)), t, True),
+            ]
+        for err in errs:
+            if err is not None:
+                return False, f"instance {i} ({fn!r}, e={e}): {err}"
+    if not tally[True]:
+        return False, "the filter decided nothing"
+    return True, (
+        f"{rounds} random and {ties} near-tie instances: "
+        f"{tally[True]} decided by the filter, {tally[False]} fell back"
+    )
 
 
 def random_region(rng: random.Random, max_t: int = 4) -> Region:
@@ -586,6 +696,7 @@ ALL_CHECKS = [
     ("approx-validation", lambda rng: check_approx_validation()),
     ("monotone-evaluation", lambda rng: check_monotone_evaluation(rng)),
     ("inflate-sandwich", lambda rng: check_inflate_sandwich(rng)),
+    ("loglaw-filter", lambda rng: check_loglaw_filter(rng)),
     ("volume-identity", lambda rng: check_volume_identity(rng)),
     ("volume-oracle", lambda rng: check_volume_oracle(rng)),
     ("volume-monotone", lambda rng: check_volume_monotone(rng)),

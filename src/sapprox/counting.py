@@ -364,6 +364,22 @@ def count_solutions(
 
     cache = _CrtCache()
 
+    def fibre_count(Ky, a, D, coord_pairs):
+        """The number of p over q = a / Dq at the real threshold Ky."""
+        count = 1
+        for i in range(m):
+            gn = 0
+            row = Areal[i]
+            for jj in range(n):
+                gn += row[jj] * a[jj]
+            cnum = D * gn
+            r_i, M_i = cache.crt_fold(coord_pairs[i])
+            ci = _kernel.count_in_ap_int(-((Ky + cnum) // gd), (Ky - cnum) // gd, r_i, M_i)
+            if ci == 0:
+                return 0
+            count *= ci
+        return count
+
     symmetric = is_symmetric(req)
     zero = (0,) * n
     buckets = [0] * len(profiles)
@@ -448,24 +464,18 @@ def count_solutions(
             else:
                 E = m * w
                 Ky = _kernel.introot((vn * Dgd**E) // vd, E)
+            count_q = fibre_count(Ky, a, D, coord_pairs)
         else:
-            Ky = real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(Dgd**m), m)
-
-        count_q = 1
-        for i in range(m):
-            gn = 0
-            row = Areal[i]
-            for jj in range(n):
-                gn += row[jj] * a[jj]
-            cnum = D * gn
-            lo = -((Ky + cnum) // gd)
-            hi = (Ky - cnum) // gd
-            r_i, M_i = cache.crt_fold(coord_pairs[i])
-            ci = _kernel.count_in_ap_int(lo, hi, r_i, M_i)
-            if ci == 0:
-                count_q = 0
-                break
-            count_q *= ci
+            # The fibre count never falls as Ky grows: every window
+            # [-(Ky + cnum) // gd, (Ky - cnum) // gd] widens with Ky.  So a
+            # zero count at k_hi is zero at the exact threshold, and equal
+            # counts at k_lo and k_hi are the count there.
+            t_real, mult = Fraction(amax**n, Dqn), Fraction(Dgd**m)
+            k_lo, k_hi = real_fn.root_bracket(t_real, mult, m)
+            count_q = fibre_count(k_hi, a, D, coord_pairs)
+            if count_q and k_lo != k_hi and fibre_count(k_lo, a, D, coord_pairs) != count_q:
+                Ky = real_fn.max_root_leq(t_real, mult, m)
+                count_q = fibre_count(Ky, a, D, coord_pairs)
         if count_q:
             entry = bisect_left(real_bounds, amax)
             if entry > step:
@@ -956,6 +966,13 @@ def x_region_bound(qvec: Sequence[Fraction], psi: ApproxCollection, places: Plac
     return out
 
 
+def _window_hit(Ky: int, c: Fraction, r: int, M: int) -> bool:
+    """Whether some integer b = r (mod M) has |b + c| <= Ky / den(c)."""
+    lo = -((Ky + c.numerator) // c.denominator)
+    hi = (Ky - c.numerator) // c.denominator
+    return _kernel.count_in_ap_int(lo, hi, r, M) >= 1
+
+
 def x_region_volume_mc(
     qvec: Sequence[Fraction],
     psi: ApproxCollection,
@@ -1000,13 +1017,16 @@ def x_region_volume_mc(
         if trip is not None:
             vn, vd, w = trip
             E = m * w
-            Ky = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
+            k_lo = k_hi = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
         else:
-            Ky = psi.real.max_root_leq(t_real, Fraction((c.denominator * D) ** m), m)
-        lo = -((Ky + c.numerator) // c.denominator)
-        hi = (Ky - c.numerator) // c.denominator
-        if _kernel.count_in_ap_int(lo, hi, r, M) >= 1:
-            hits += 1
+            mult = Fraction((c.denominator * D) ** m)
+            k_lo, k_hi = psi.real.root_bracket(t_real, mult, m)
+        # a hit only becomes more likely as Ky grows, so the bracket decides
+        # it unless its two ends disagree
+        hit = _window_hit(k_hi, c, r, M)
+        if hit and k_lo != k_hi and not _window_hit(k_lo, c, r, M):
+            hit = _window_hit(psi.real.max_root_leq(t_real, mult, m), c, r, M)
+        hits += hit
     phat = hits / samples
     se = math.sqrt(phat * (1 - phat) / samples)
     return phat, se, hits

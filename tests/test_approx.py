@@ -4,7 +4,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapprox.approx import (
     ApproxCollection,
@@ -22,6 +25,8 @@ from sapprox.approx import (
     integral_diverges,
     psi_one,
 )
+from sapprox.checks import check_loglaw_filter
+from sapprox.counting import x_region_bound
 from sapprox.sring import NormProfile, PlaceSet
 from sapprox.volume import Region, volume_exact
 
@@ -205,6 +210,49 @@ class TestPinnedIntegrals:
         assert len(lines) == 396
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SHA256
+
+
+class TestLogLawFloat:
+    """The float evaluation of the log law and its filter."""
+
+    fn = LogLaw(Fraction(1), Fraction(2))
+    S0 = PlaceSet(())
+
+    def test_value_float_just_above_one_is_the_plateau(self):
+        # float(t) == 1.0 here, but g(t) -> infinity as t -> 1+
+        t = 1 + Fraction(1, 10**20)
+        assert self.fn.value_float(t) == 1.0
+        assert evaluate(self.fn, t) == 1.0
+        psi = ApproxCollection.of(self.fn, {}, 1, 1)
+        assert x_region_bound((t,), psi, self.S0) == 2.0
+
+    def test_value_float_beyond_the_float_range(self):
+        # g(10**400) is about 1e-406, below the smallest float
+        t = Fraction(10**400)
+        assert self.fn.value_float(t) == 0.0
+        assert evaluate(self.fn, t) == 0.0
+        psi = ApproxCollection.of(self.fn, {}, 1, 1)
+        assert x_region_bound((t,), psi, self.S0) == 0.0
+
+    def test_value_float_matches_high_precision(self):
+        for t in (Fraction(3), Fraction(10**6, 7), Fraction(10**300)):
+            with mpmath.workdps(40):
+                tt = mpmath.mpf(t.numerator) / t.denominator
+                want = float(1 / (tt * mpmath.log(tt) ** 2))
+            assert self.fn.value_float(t) == pytest.approx(want, rel=1e-12)
+
+    def test_exact_kinds_bracket_their_exact_root(self):
+        t, mult = Fraction(7, 2), Fraction(50, 3)
+        for fn in (PowerLaw(Fraction(3, 2), Fraction(2)), LogLaw(Fraction(3), Fraction(0))):
+            for e in (1, 2, 3):
+                K = fn.max_root_leq(t, mult, e)
+                assert fn.root_bracket(t, mult, e) == (K, K)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_filter_matches_interval_arithmetic(self, seed):
+        ok, detail = check_loglaw_filter(random.Random(seed), rounds=40, ties=10)
+        assert ok, detail
 
 
 class TestValidation:

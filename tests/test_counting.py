@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sapprox.approx import ApproxCollection, FiniteApproxFunction, LogLaw, PowerLaw, psi_one
+from sapprox.approx import (
+    ApproxCollection,
+    FiniteApproxFunction,
+    LogLaw,
+    PowerLaw,
+    Scaled,
+    psi_one,
+)
 from sapprox.checks import (
     check_discrepancy_sandwich,
     check_ladder_counts,
@@ -35,11 +42,26 @@ from sapprox.counting import (
     x_region_bound,
     x_region_volume_mc,
 )
-from sapprox.sampler import SamplerConfig, random_places, random_psi, sample_matrix
+from sapprox.sampler import (
+    SamplerConfig,
+    random_places,
+    random_psi,
+    random_request,
+    sample_matrix,
+)
 from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
 from sapprox.volume import Region, volume_exact
 
 S2 = PlaceSet((2,))
+
+
+class WideBracket(LogLaw):
+    """A log law whose root bracket is as wide as it may be and still hold
+    the exact root."""
+
+    def root_bracket(self, t, mult, e):
+        K = self.max_root_leq(t, mult, e)
+        return 0, 2 * K + 1
 
 
 def zero_matrix(m, n, places, K=8):
@@ -178,6 +200,37 @@ class TestCountSolutions:
         for seed in (3, 4, 5):
             cfg = SamplerConfig.of(seed, (1, 1), S2, {2: 10}, 2**10)
             req = CountRequest(S2, sample_matrix(cfg), psi, NormProfile.of(Fraction(6), {2: 1}))
+            assert count_solutions(req) == count_solutions_bruteforce(req)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
+        st.booleans(),
+    )
+    def test_log_law_matches_brute_force(self, seed, b, rescaled):
+        # the log-law fibres take the float bracket; with ``rescaled`` the
+        # real part is psi(3**n t) / 3**m, the Scaled law of the N = 3
+        # congruence rescaling
+        rng = random.Random(seed)
+        req = random_request(rng)
+        m, n = req.dims
+        real = LogLaw(Fraction(rng.randint(1, 12), 2), b)
+        if rescaled:
+            real = Scaled(real, Fraction(1, 3**m), Fraction(3**n))
+        psi = ApproxCollection(m, n, real, req.psi.finite)
+        req = dataclasses.replace(req, psi=psi)
+        assert count_solutions(req) == count_solutions_bruteforce(req)
+
+    def test_a_wide_bracket_still_gives_the_exact_count(self):
+        # any bracket is sound: the counter recounts at the exact threshold
+        # when the counts at its two ends differ
+        rng = random.Random(11)
+        for _ in range(6):
+            req = random_request(rng)
+            m, n = req.dims
+            psi = ApproxCollection(m, n, WideBracket(Fraction(3), Fraction(1)), req.psi.finite)
+            req = dataclasses.replace(req, psi=psi)
             assert count_solutions(req) == count_solutions_bruteforce(req)
 
 
@@ -379,6 +432,16 @@ class TestFiberRegion:
     def test_bound_holds(self):
         ok, detail = check_xq_bound(random.Random(41), rounds=6, samples=1500)
         assert ok, detail
+
+    def test_a_wide_bracket_gives_the_same_hits(self):
+        S = PlaceSet((2, 3))
+        fin = {p: FiniteApproxFunction(p, 1, 2, (1,)) for p in S.primes}
+        q = (Fraction(5, 6), Fraction(-7, 4))
+        hits = [
+            x_region_volume_mc(q, ApproxCollection.of(real, fin, 1, 2), S, 300, 7)[2]
+            for real in (LogLaw(Fraction(3), Fraction(1)), WideBracket(Fraction(3), Fraction(1)))
+        ]
+        assert hits[0] == hits[1] > 0
 
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):
