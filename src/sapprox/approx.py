@@ -14,14 +14,14 @@ of a rational).  Each real kind therefore evaluates exactly in one place,
 from it: the exact value (a Fraction or :class:`RootVal`), the comparison
 lhs <= psi(t) and the integer root threshold all cross-multiply integers.
 Only the logarithmic family with b > 0 has no exact value (its triple is
-None).  Its decisions are float-first: one float evaluation of the law in
-the log domain, with a proven error budget, decides every comparison and
-root threshold that is not a near-tie (the filtered-predicate pattern of
-Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  A near-tie falls
-back to rigorous interval arithmetic with escalating precision, which
-raises :class:`UndecidedComparison` on a persistent tie instead of ever
-miscounting.  ``root_bracket`` hands the counter the float answer as an
-integer bracket around the exact root threshold.
+None).  Its root thresholds are float-first: one float evaluation of the
+law in the log domain, with a proven error budget, gives ``root_bracket``,
+an integer bracket around the exact threshold that the counter uses to
+decide every fibre that is not a near-tie (the filtered-predicate pattern
+of Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  A near-tie, and
+every comparison lhs <= psi(t), runs in rigorous interval arithmetic with
+escalating precision, which raises :class:`UndecidedComparison` on a
+persistent tie instead of ever miscounting.
 
 Each function has one local integral, ``integral_to``: up to T_inf at the
 real place and up to block t_p at a finite place.  The volume of E_psi(T)
@@ -122,7 +122,7 @@ FILTER_SLACK = 1e-9
 # the largest error bound a float log of the law may carry into a decision,
 # a thousandth of the slack (see LogLaw._log_g)
 _FILTER_BUDGET = FILTER_SLACK / 1000
-# the largest |ln x| of a lhs or a multiplier the filter takes
+# the largest |ln mult| the filter takes
 _LN_CAP = 1024
 
 
@@ -199,12 +199,6 @@ class RealApproxFunction:
         num = vn * mult.numerator**w
         den = vd * mult.denominator**w
         return _kernel.introot(num // den, e * w)
-
-    def root_bracket(self, t: Fraction, mult: Fraction, e: int) -> tuple[int, int]:
-        """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi.  The
-        exact kinds return (K, K); the log law answers from floats."""
-        K = self.max_root_leq(t, mult, e)
-        return K, K
 
     def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
         """(value, absolute error bound) for the integral over [0, T], T
@@ -299,9 +293,9 @@ class LogLaw(RealApproxFunction):
     """psi(t) = min(1, c / (t * (ln t)**b)) for t > 1, and 1 on (0, 1].
 
     c > 0, b >= 0.  The classical borderline family: the tail integral
-    converges exactly when b > 1.  Values are transcendental, so decisions
-    are made in floats with a proven error budget (``_log_g``) and, on a
-    near-tie, in interval arithmetic.
+    converges exactly when b > 1.  Values are transcendental, so root
+    thresholds are bracketed in floats with a proven error budget
+    (``_log_g``), and comparisons and near-ties run in interval arithmetic.
     """
 
     c: Fraction
@@ -366,8 +360,6 @@ class LogLaw(RealApproxFunction):
           t <= e**100 and for b up to about 12 at t = e**1000; a very large
           b, or a larger t, goes to the interval path.  The budget also
           bounds |ln g| <= err_g / 8u < 1126.
-        - ``leq_value`` compares ln g with ln lhs, where |ln lhs| <= 1024:
-          error at most 1e-12 + 5u(1026) + u(1126 + 1024) < 1.9e-12.
         - ``root_bracket`` takes (g*mult)**(1/e) = exp((ln g + ln mult)/e)
           with |ln mult| <= 1024, a little past the float range (709.8).
           ln mult adds at most 5u(1026) = 5.7e-13, or 4.0e-13 within the
@@ -375,8 +367,8 @@ class LogLaw(RealApproxFunction):
           u(1126 + 1024)(1 + 1) + 2u = 4.8e-13.  So the relative error of
           the root is below 1e-12 + 5.7e-13 + 4.8e-13 < 2.1e-12.
 
-        The slack 1e-9 covers each of these by a factor of more than 450.
-        So a float decision stays sound even if libm were off by a few
+        The slack 1e-9 covers this by a factor of more than 450.  So a
+        float decision stays sound even if libm were off by a few
         hundred ulp.
         """
         ln_c, L1 = _ln(self.c), _ln(t)
@@ -409,17 +401,8 @@ class LogLaw(RealApproxFunction):
         t, lhs = Fraction(t), Fraction(lhs)
         if lhs > 1:
             return False
-        if t <= 1 or self.b == 0 or lhs <= 0:
+        if t <= 1 or self.b == 0:
             return super().leq_value(lhs, t)
-        # for lhs <= 1, lhs <= min(1, g) iff lhs <= g
-        ln_g, decided = self._log_g(t)
-        if decided:
-            ln_lhs = _ln(lhs)
-            if abs(ln_lhs) <= _LN_CAP:
-                if ln_g - ln_lhs > FILTER_SLACK:
-                    return True
-                if ln_g - ln_lhs < -FILTER_SLACK:
-                    return False
         iv = mpmath.iv
         for prec in (64, 128, 512, 2048):
             old = iv.prec
@@ -467,8 +450,10 @@ class LogLaw(RealApproxFunction):
         raise UndecidedComparison(f"root threshold tie at t={t}")
 
     def root_bracket(self, t, mult, e):
+        """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi, from
+        floats; an undecided float gives the exact (K, K).  t > 0."""
         t, mult = Fraction(t), Fraction(mult)
-        ln_g, decided = self._log_g(t) if self.b and t > 2 else (0.0, False)
+        ln_g, decided = self._log_g(t)
         if decided:
             if ln_g > 0:  # plateau: psi = 1 exactly
                 K = _kernel.introot(mult.numerator // mult.denominator, e)
@@ -482,7 +467,8 @@ class LogLaw(RealApproxFunction):
                     math.floor(root * (1 - FILTER_SLACK)),
                     math.floor(root * (1 + FILTER_SLACK)),
                 )
-        return super().root_bracket(t, mult, e)
+        K = self.max_root_leq(t, mult, e)
+        return K, K
 
     @functools.cached_property
     def _crossover(self) -> tuple[Fraction, Fraction]:

@@ -966,13 +966,6 @@ def x_region_bound(qvec: Sequence[Fraction], psi: ApproxCollection, places: Plac
     return out
 
 
-def _window_hit(Ky: int, c: Fraction, r: int, M: int) -> bool:
-    """Whether some integer b = r (mod M) has |b + c| <= Ky / den(c)."""
-    lo = -((Ky + c.numerator) // c.denominator)
-    hi = (Ky - c.numerator) // c.denominator
-    return _kernel.count_in_ap_int(lo, hi, r, M) >= 1
-
-
 def x_region_volume_mc(
     qvec: Sequence[Fraction],
     psi: ApproxCollection,
@@ -1017,16 +1010,13 @@ def x_region_volume_mc(
         if trip is not None:
             vn, vd, w = trip
             E = m * w
-            k_lo = k_hi = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
+            Ky = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
         else:
-            mult = Fraction((c.denominator * D) ** m)
-            k_lo, k_hi = psi.real.root_bracket(t_real, mult, m)
-        # a hit only becomes more likely as Ky grows, so the bracket decides
-        # it unless its two ends disagree
-        hit = _window_hit(k_hi, c, r, M)
-        if hit and k_lo != k_hi and not _window_hit(k_lo, c, r, M):
-            hit = _window_hit(psi.real.max_root_leq(t_real, mult, m), c, r, M)
-        hits += hit
+            Ky = psi.real.max_root_leq(t_real, Fraction((c.denominator * D) ** m), m)
+        lo = -((Ky + c.numerator) // c.denominator)
+        hi = (Ky - c.numerator) // c.denominator
+        if _kernel.count_in_ap_int(lo, hi, r, M) >= 1:
+            hits += 1
     phat = hits / samples
     se = math.sqrt(phat * (1 - phat) / samples)
     return phat, se, hits

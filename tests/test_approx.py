@@ -241,13 +241,6 @@ class TestLogLawFloat:
                 want = float(1 / (tt * mpmath.log(tt) ** 2))
             assert self.fn.value_float(t) == pytest.approx(want, rel=1e-12)
 
-    def test_exact_kinds_bracket_their_exact_root(self):
-        t, mult = Fraction(7, 2), Fraction(50, 3)
-        for fn in (PowerLaw(Fraction(3, 2), Fraction(2)), LogLaw(Fraction(3), Fraction(0))):
-            for e in (1, 2, 3):
-                K = fn.max_root_leq(t, mult, e)
-                assert fn.root_bracket(t, mult, e) == (K, K)
-
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_filter_matches_interval_arithmetic(self, seed):

@@ -433,16 +433,6 @@ class TestFiberRegion:
         ok, detail = check_xq_bound(random.Random(41), rounds=6, samples=1500)
         assert ok, detail
 
-    def test_a_wide_bracket_gives_the_same_hits(self):
-        S = PlaceSet((2, 3))
-        fin = {p: FiniteApproxFunction(p, 1, 2, (1,)) for p in S.primes}
-        q = (Fraction(5, 6), Fraction(-7, 4))
-        hits = [
-            x_region_volume_mc(q, ApproxCollection.of(real, fin, 1, 2), S, 300, 7)[2]
-            for real in (LogLaw(Fraction(3), Fraction(1)), WideBracket(Fraction(3), Fraction(1)))
-        ]
-        assert hits[0] == hits[1] > 0
-
     def test_rejects_zero_q(self):
         with pytest.raises(ValueError):
             x_region_bound((Fraction(0),), psi_one(S2, 1, 1), S2)
