@@ -11,10 +11,12 @@ the place's own ``integral_to``, the same method that
 ``approx.integral_diverges`` takes to infinity.
 
 The Monte Carlo estimator is an independent oracle: it samples the bounding
-adelic box (uniform reals at the real place, uniform residues at the finite
-places) and tests membership with the same exact comparisons used
-everywhere else.  The bounding box volume is exact, so the only error is
-binomial.
+adelic box (uniform float reals at the real place, uniform residues at the
+finite places) and tests membership exactly.  A float is an exact dyadic
+rational, so the real-place test runs on the integer ratios of the draws,
+cross-multiplied as in ``RealApproxFunction.leq_value``; ``contains`` runs
+the same test on rational points.  The bounding box volume is exact, so the
+only error is binomial.
 """
 
 from __future__ import annotations
@@ -121,6 +123,29 @@ def volume_exact(region: Region) -> VolumeResult:
 # membership
 
 
+def _real_member(region: Region):
+    """The real-place test as a function of the two sup norms, each passed as
+    a numerator and a denominator: ||y||**n <= T_inf, then
+    ||x||**m <= psi_inf(||y||**n).  Both are integer cross-multiplications,
+    the second on the triple (vn, vd, w) as in ``leq_value``; a kind with no
+    triple (the log law with b > 0, bare or scaled) decides through its own
+    ``leq_value``."""
+    real, m, n = region.psi.real, region.m, region.n
+    bn, bd = region.profile.t_inf.numerator, region.profile.t_inf.denominator
+
+    def member(xn: int, xd: int, yn: int, yd: int) -> bool:
+        tn, td = yn**n, yd**n
+        if tn * bd > bn * td:
+            return False
+        trip = real.value_triple(tn, td)
+        if trip is None:
+            return real.leq_value(Fraction(xn, xd) ** m, Fraction(tn, td))
+        vn, vd, w = trip
+        return xn ** (m * w) * vd <= vn * xd ** (m * w)
+
+    return member
+
+
 def contains(
     region: Region,
     x_at: Mapping[object, Sequence[Fraction]],
@@ -134,10 +159,8 @@ def contains(
         if len(x) != m or len(y) != n:
             raise ValueError("point dimensions do not match the region")
         if place == REAL_PLACE:
-            t = sup_norm(y) ** n
-            if t > region.profile.t_inf:
-                return False
-            if not region.psi.real.leq_value(sup_norm(x) ** m, t):
+            ax, ay = sup_norm(x), sup_norm(y)
+            if not _real_member(region)(ax.numerator, ax.denominator, ay.numerator, ay.denominator):
                 return False
         else:
             p = place
@@ -184,24 +207,29 @@ def _cover_radius(bound: Fraction, root: int) -> float:
 def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloResult:
     """Uniform sampling of the bounding adelic box with exact membership tests.
 
-    Deterministic given (seed, samples); the budget is consumed in fixed-size
-    blocks with independently derived streams, so the result is independent
-    of how blocks would be distributed across workers.
+    Each real coordinate is a float draw, an exact dyadic rational, so the
+    real-place test runs on the integer ratios of the sup norms.  Per sample
+    the stream gives the m x draws, the n y draws, then the residues place by
+    place; a real-place miss still draws every residue, keeping the stream
+    aligned.  Deterministic given (seed, samples); the budget is consumed in
+    fixed-size blocks with independently derived streams, so the result is
+    independent of how blocks would be distributed across workers.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     if region.profile.t_inf < 1:
         raise ValueError("Monte Carlo oracle requires T_inf >= 1")
     m, n = region.m, region.n
     psi = region.psi
 
     sup_x = psi.real.sup_value()
-    if sup_x <= 0 or region.profile.t_inf <= 0:
+    if sup_x <= 0:
         raise ValueError("degenerate bounding box")
     rx = _cover_radius(sup_x, m)
     ry = _cover_radius(region.profile.t_inf, n)
+    member = _real_member(region)
 
-    fin_data = []  # (p, t, depth_y, depth_x, z table upper bound)
+    fin_data = []  # (p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn)
     box_vol = (2 * Fraction(rx)) ** m * (2 * Fraction(ry)) ** n
     for p in region.places.primes:
         fn = psi.finite_fn(p)
@@ -209,50 +237,33 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         z_max = fn.z_at_block(t) if t >= 1 else 0
         depth_y = max(t, 0) + 1
         depth_x = z_max + 1
-        fin_data.append((p, t, depth_y, depth_x, fn))
+        fin_data.append((p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn))
         box_vol *= Fraction(p) ** (t * n)  # exact volume of the ||y||_p ball
 
     hits = 0
     block = 8192
-    done = 0
-    block_index = 0
-    while done < samples:
-        count = min(block, samples - done)
+    for block_index, start in enumerate(range(0, samples, block)):
+        count = min(block, samples - start)
         rng = random.Random(derive_seed(seed, "mc-block", block_index))
+        uniform, randrange = rng.uniform, rng.randrange
         for _ in range(count):
-            xs = tuple(Fraction(rng.uniform(-rx, rx)) for _ in range(m))
-            ys = tuple(Fraction(rng.uniform(-ry, ry)) for _ in range(n))
-            ok = True
-            t_real = sup_norm(ys) ** n if n else Fraction(0)
-            if t_real > region.profile.t_inf:
-                ok = False
-            if ok and not psi.real.leq_value(sup_norm(xs) ** m, t_real):
-                ok = False
-            if ok:
-                for p, t, dy, dx, fn in fin_data:
-                    ry_res = [rng.randrange(p**dy) for _ in range(n)]
-                    rx_res = [rng.randrange(p**dx) for _ in range(m)]
-                    # residues are known mod p**depth: a nonzero one has
-                    # valuation below depth, and 0 stands for depth
-                    mv_y = min((_kernel.valuation(r, p) if r else dy for r in ry_res), default=dy)
-                    kappa = t - mv_y
-                    z = fn.z_at_block(kappa) if kappa >= 1 else 0
-                    if z > 0:
-                        mv_x = min(_kernel.valuation(r, p) if r else dx for r in rx_res)
-                        if mv_x < z:
-                            ok = False
-                            break
-            else:
-                # keep the finite-place stream aligned even on real-place misses
-                for p, t, dy, dx, fn in fin_data:
-                    for _ in range(n):
-                        rng.randrange(p**dy)
-                    for _ in range(m):
-                        rng.randrange(p**dx)
-            if ok:
-                hits += 1
-        done += count
-        block_index += 1
+            ax = max([abs(uniform(-rx, rx)) for _ in range(m)])
+            ay = max([abs(uniform(-ry, ry)) for _ in range(n)])
+            ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
+            for p, t, dy, dx, my, mx, fn in fin_data:
+                ry_res = [randrange(my) for _ in range(n)]
+                rx_res = [randrange(mx) for _ in range(m)]
+                if not ok:
+                    continue  # a real-place miss still draws every residue
+                # residues are known mod p**depth: a nonzero one has
+                # valuation below depth, and 0 stands for depth
+                mv_y = min((_kernel.valuation(r, p) if r else dy for r in ry_res), default=dy)
+                kappa = t - mv_y
+                z = fn.z_at_block(kappa) if kappa >= 1 else 0
+                if z > 0 and min(_kernel.valuation(r, p) if r else dx for r in rx_res) < z:
+                    ok = False
+                    break
+            hits += ok
 
     phat = hits / samples
     est = float(box_vol) * phat

@@ -1,5 +1,6 @@
 """Adelic region volumes: exact factorization against the Monte Carlo oracle."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,12 +11,14 @@ import pytest
 from sapprox.approx import (
     ApproxCollection,
     FiniteApproxFunction,
+    LogLaw,
     PowerLaw,
+    Scaled,
     UserStep,
     inflate,
     psi_one,
 )
-from sapprox.checks import check_volume_identity
+from sapprox.checks import check_volume_identity, random_region
 from sapprox.sring import NormProfile, PlaceSet
 from sapprox.volume import Region, contains, contains_pair, volume_exact, volume_monte_carlo
 
@@ -105,6 +108,28 @@ class TestContains:
         assert contains_pair(reg, (Fraction(1, 2),), (Fraction(2),))  # 1/2 = psi(2)
         assert not contains_pair(reg, (Fraction(1, 2) + Fraction(1, 1000),), (Fraction(2),))
 
+    def test_ties_lie_inside(self):
+        # psi = 2 t**(-1/2) has the triple (4, t, 2) and psi(64) = 1/4 = (1/2)**2;
+        # with ||y|| = 64 = T_inf both comparisons tie, and a tie is inside
+        psi = ApproxCollection.of(PowerLaw(Fraction(2), Fraction(1, 2)), {}, 2, 1)
+        reg = Region(psi, NormProfile.of(Fraction(64), {}), PlaceSet(()))
+        half, eps = Fraction(1, 2), Fraction(1, 10**6)
+        assert contains_pair(reg, (half, -half), (Fraction(-64),))
+        assert not contains_pair(reg, (half + eps, half), (Fraction(64),))
+        assert not contains_pair(reg, (half, half), (Fraction(64) + eps,))
+
+    def test_log_law_without_a_triple(self):
+        # g(3) = 2 / (3 (ln 3)**2), about 0.552, and 2 g(6 / 2) about 1.105
+        base = LogLaw(Fraction(2), Fraction(2))
+        for real, y, inside in (
+            (base, 3, Fraction(55, 100)),
+            (Scaled(base, Fraction(2), Fraction(1, 2)), 6, Fraction(110, 100)),
+        ):
+            psi = ApproxCollection.of(real, {}, 1, 1)
+            reg = Region(psi, NormProfile.of(Fraction(8), {}), PlaceSet(()))
+            assert contains_pair(reg, (inside,), (Fraction(y),))
+            assert not contains_pair(reg, (inside + Fraction(1, 100),), (Fraction(y),))
+
     def test_finite_place_violation(self):
         reg = Region(psi_one(S2, 1, 1), NormProfile.of(Fraction(2), {2: 0}), S2)
         # |1/2|_2 = 2 > 1 = psi_2
@@ -137,6 +162,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             volume_monte_carlo(reg, 100, seed=1)
 
+    @pytest.mark.parametrize("samples", [9000.0, 1e6, True, "100"])
+    def test_rejects_a_non_int_sample_count(self, samples):
+        reg = Region(psi_one(S2, 1, 1), NormProfile.of(Fraction(2), {2: 1}), S2)
+        with pytest.raises(ValueError, match="samples must be an int >= 1"):
+            volume_monte_carlo(reg, samples, seed=1)
+
     def test_deterministic(self):
         reg = Region(psi_one(S2, 2, 1), NormProfile.of(Fraction(3), {2: 1}), S2)
         a = volume_monte_carlo(reg, 5000, seed=123)
@@ -154,6 +185,46 @@ class TestMonteCarlo:
         res = volume_exact(reg)
         mc = volume_monte_carlo(reg, 40_000, seed=21)
         assert abs(float(res.total) - mc.estimate) <= 4 * mc.std_error
+
+
+def monte_carlo_table() -> list[str]:
+    """(hits, samples, box volume) of the oracle on seeded random regions,
+    then on log-law regions, bare and scaled, where the real kind has no
+    exact triple for b > 0 and decides through its own ``leq_value``."""
+    lines = []
+    for seed in range(6):
+        rng = random.Random(f"mc-table/{seed}")
+        for _ in range(4):
+            reg = random_region(rng)
+            mc = volume_monte_carlo(reg, 300, seed=rng.randrange(2**32))
+            lines.append(f"{mc.hits} {mc.samples} {mc.box_volume}")
+    reals = [LogLaw(Fraction(2), b) for b in (Fraction(0), Fraction(1, 2), Fraction(2))]
+    reals.append(Scaled(LogLaw(Fraction(3, 2), Fraction(1)), Fraction(3, 2), Fraction(2, 3)))
+    for k, real in enumerate(reals):
+        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            for primes in ((), (2,), (2, 3)):
+                places = PlaceSet(primes)
+                fin = {p: FiniteApproxFunction(p, m, n, (0, 1)) for p in primes}
+                psi = ApproxCollection.of(real, fin, m, n)
+                prof = NormProfile.of(Fraction(21, 4) ** n, {p: n for p in primes})
+                mc = volume_monte_carlo(Region(psi, prof, places), 150, seed=1000 * k + 10 * m + n)
+                lines.append(f"{mc.hits} {mc.samples} {mc.box_volume}")
+    return lines
+
+
+class TestPinnedMonteCarlo:
+    """The oracle's hits, hashed: any change in the draws, their order or a
+    membership decision away from the boundary shows here.  A float draw
+    lands on the boundary with probability about 2**-52, so the ties are
+    pinned by ``TestContains``, which runs the same real-place test."""
+
+    SHA256 = "d5070ba87163cb216eccdc7392d4f763aefcd190431e4843d7038f77e9d5fdf1"
+
+    def test_table(self):
+        lines = monte_carlo_table()
+        assert len(lines) == 72
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.SHA256
 
 
 class TestMonotonicityAndScaling:
