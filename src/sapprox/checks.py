@@ -26,6 +26,7 @@ from .approx import (
 )
 from .counting import (
     CountRequest,
+    bruteforce_cost,
     count_solutions,
     count_solutions_bruteforce,
     default_dirichlet_constants,
@@ -425,7 +426,8 @@ def check_ladder_counts(rng: random.Random, rounds: int = 40, brute_steps: int =
     one-profile count at every step, and the brute force on the first
     ``brute_steps`` steps.  Half the requests get a zero shift, so both the
     symmetric pass (2v = 0 mod N) and the full pass run; the detail reports
-    how many of each."""
+    how many of each.  A ladder is redrawn until its last box holds at most
+    4,000 q and the brute force checks at most 20,000 candidate pairs."""
     import dataclasses
 
     kinds = {True: 0, False: 0}
@@ -444,13 +446,15 @@ def check_ladder_counts(rng: random.Random, rounds: int = 40, brute_steps: int =
             D = 1
             for p, e in exps.items():
                 D *= p ** max(e // n, 0)
-            if (2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n <= 4000:  # keep it quick
+            if (2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n > 4000:
+                continue
+            steps = [dataclasses.replace(req, profile=prof) for prof in ladder]
+            if sum(bruteforce_cost(one) for one in steps[:brute_steps]) <= 20_000:
                 break
-        req = dataclasses.replace(req, profile=ladder[-1])
+        req = steps[-1]
         kinds[is_symmetric(req)] += 1
         counts = count_solutions(req, ladder)
-        for step, prof in enumerate(ladder):
-            one = dataclasses.replace(req, profile=prof)
+        for step, one in enumerate(steps):
             single = count_solutions(one)
             if counts[step] != single:
                 return False, f"instance {i} step {step}: ladder {counts[step]} != {single}"

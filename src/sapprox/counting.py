@@ -4,17 +4,26 @@ The counter answers: how many pairs (p, q) in Z_S^m x Z_S^n satisfy, at
 every place, ||A_p q + p||_p^m <= psi_p(||q||_p^n) and ||q||_p^n <= T_p,
 with (p, q) congruent to a fixed vector modulo N.
 
-The fast path enumerates q over the adelic box and, for each q, converts
-the finite-place conditions on p into integer congruences on the
-cleared-denominator representative b of p (the p-adic ball around -A_p q
-becomes one congruence per place).  All congruences merge into a single
-modulus via the Chinese remainder theorem -- the moduli are pairwise
-coprime by construction -- and the real-place window is resolved by the
-closed-form arithmetic-progression counter, so the cost per q is
-independent of the size of the real box.  The count at q does not depend on
-the profile, so one pass over the largest box of a nested ladder counts
-every step of it, and the q -> -q symmetry halves the pass when the
-congruence allows it.
+The fast path enumerates q = a / Dq over the adelic box, Dq = prod p**dq_p
+the box denominator, and counts the p over each q as integers b = Dq * p.
+Every admissible p has v_p(p_i) >= -dq_p, so b is integral, and the
+finite-place conditions on p become congruences on b: at p, the ball around
+-A_p q is b = -A_p a (mod p**(j_p + dq_p)), with j_p the threshold exponent
+of psi_p at q.  A smaller clearing denominator (the least one that clears a
+given q) gives the same count: raising it to Dq multiplies every b by a
+power of S-primes, a bijection that keeps the p-adic balls, the real window
+and b = Dq * v_m (mod N), since j_p >= 0 and N is coprime to S.  With one
+denominator the places fold, by the Chinese remainder theorem, into one
+congruence per coordinate, b_i = -(Atil a)_i (mod M) with Atil the CRT of
+the representative rows, and into b_i = Dq * v_i (mod N).  M = prod
+p**(j_p + dq_p) depends on q only through its valuation shell, min(v_p(a),
+cap_p) at each p, which gcd(P, *a) names in one call; each shell's modulus,
+CRT idempotents and entry step are built once, the first time it is seen.
+The real-place window is resolved by the closed-form
+arithmetic-progression counter, so the cost per q is independent of the
+size of the real box.  The count at q does not depend on the profile, so one
+pass over the largest box of a nested ladder counts every step of it, and
+the q -> -q symmetry halves the pass when the congruence allows it.
 
 A direct brute-force twin checks every candidate pair against the defining
 inequalities and serves as the oracle for the fast path.
@@ -37,6 +46,7 @@ from .sring import (
     REAL_PLACE,
     NormProfile,
     PlaceSet,
+    box_size,
     derive_seed,
     enumerate_box,
     enumerate_box_raw,
@@ -321,16 +331,22 @@ def count_solutions(
     m, n = req.dims
     S = req.places
     N = req.modulus
-    psi = req.psi
-    real_fn = psi.real
+    real_fn = req.psi.real
     profiles = _check_ladder(req, ladder)
 
     u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
-    cong = (N, req.v_n) if N > 1 else None
-    Dq, reps = enumerate_box_raw(n, S, req.profile.t_inf, u_fin, cong, u_inf_root=n)
+    box = (n, S, req.profile.t_inf, u_fin, (N, req.v_n) if N > 1 else None, n)
+    Dq, reps = enumerate_box_raw(*box)
+    symmetric = is_symmetric(req)
+    if symmetric:
+        # a -> -a reverses the lexicographic order of a symmetric box, so its
+        # first half is exactly the a whose first nonzero coordinate is < 0
+        reps = itertools.islice(reps, box_size(*box) // 2, None)
 
+    # With real rows A_i / R, p_i = b_i / Dq lies in the real window iff
+    # |A_i a + R b_i| <= psi**(1/m) * gd
     R, Areal = _real_row_data(req.matrix)
-    gd = R * Dq  # denominator of (A_inf q)_i for integer representatives a
+    gd = R * Dq
     Dqn = Dq**n
     # q lies in step i's real box iff max_j |a_j| <= B_i
     real_bounds = [
@@ -338,149 +354,94 @@ def count_solutions(
         for prof in profiles
     ]
 
-    fin = []
+    # At p the ball around -A_p q is b = -A_p a (mod p**(j + dq)).  Atil is
+    # the CRT of the representative rows mod prod p**K, and p**v dividing a
+    # makes Atil a = A_p a mod p**(K + v), which covers p**(j + dq) whenever
+    # the precision check j + kappa <= K passes.  j, kappa and the entry
+    # step depend on a only through min(v_p(a), cap_p): beyond cap_p, kappa
+    # <= min(u_0, 0), so j = 0 and the entry step is 0.  gcd(P, *a) names
+    # every capped valuation at once.
+    fin, P, PK = [], 1, 1
+    Atil = [[0] * n for _ in range(m)]
     for p in S.primes:
         dq = max(u_fin[p], 0)
-        fn = psi.finite_fn(p)
-        # kappa = dq - min_j v_p(a_j) never exceeds dq for integer reps
-        z_table = tuple(fn.z_at_block(k) for k in range(dq + 1))
-        fin.append(
-            (
-                p,
-                req.matrix.K(p),
-                req.matrix.finite_rows(p),
-                dq,
-                Dq // p**dq,  # the prime-to-p part of Dq
-                z_table,
-                # q lies in step i's box at p iff kappa <= u_i
-                [prof.exponent(p) // n for prof in profiles],
-            )
-        )
+        K = req.matrix.K(p)
+        # q lies in step i's box at p iff kappa <= u_i, and kappa <= dq
+        u_steps = [prof.exponent(p) // n for prof in profiles]
+        z_table = tuple(req.psi.finite_fn(p).z_at_block(k) for k in range(dq + 1))
+        fin.append((p, K, dq, z_table, u_steps))
+        inv = pow(PK, -1, p**K)
+        for Arow, row in zip(Atil, req.matrix.finite_rows(p)):
+            Arow[:] = [x + PK * ((r - x) * inv % p**K) for x, r in zip(Arow, row)]
+        P *= p ** (dq - min(u_steps[0], 0))
+        PK *= p**K
+    # b_i = Dq * v_i (mod N), with the S-supported denominator of v_i inverted
+    vm_res = [Dq * v.numerator * pow(v.denominator, -1, N) % N for v in req.v_m]
 
-    # b_i = D * v_i (mod N), with the S-supported denominator of v_i inverted
-    vm_res = None
-    if N > 1:
-        vm_res = [v.numerator * pow(v.denominator, -1, N) % N for v in req.v_m]
+    def shell(g):
+        """(M*N, rows, finite entry step) for the a with gcd(P, *a) = g.
+        M = prod p**(j + dq), and each row (real numerators, W_i, c_i) gives
+        the congruence b_i = c_i + W_i a (mod M*N) of its coordinate."""
+        M, step = 1, 0
+        for p, K, dq, z_table, u_steps in fin:
+            kappa = dq - _kernel.valuation(g, p)
+            j = z_table[kappa] if kappa > 0 else 0
+            if j + max(kappa, 0) > K:
+                raise InsufficientPrecision(p, j + max(kappa, 0), K)
+            M *= p ** (j + dq)
+            step = max(step, bisect_left(u_steps, kappa))
+        MN = M * N
+        eM = N * pow(N, -1, M) % MN  # 1 mod M, 0 mod N
+        W = [[-x * eM % MN for x in row] for row in Atil]
+        return MN, tuple(zip(Areal, W, [y * (1 - eM) % MN for y in vm_res])), step
 
-    cache = _CrtCache()
-
-    def fibre_count(Ky, a, D, coord_pairs):
+    def fibre_count(Ky, a, MN, rows):
         """The number of p over q = a / Dq at the real threshold Ky."""
         count = 1
-        for i in range(m):
-            gn = 0
-            row = Areal[i]
-            for jj in range(n):
-                gn += row[jj] * a[jj]
-            cnum = D * gn
-            r_i, M_i = cache.crt_fold(coord_pairs[i])
-            ci = _kernel.count_in_ap_int(-((Ky + cnum) // gd), (Ky - cnum) // gd, r_i, M_i)
-            if ci == 0:
+        for Ai, Wi, ci in rows:
+            gn = r = 0
+            for x, y, aj in zip(Ai, Wi, a):
+                gn += x * aj
+                r += y * aj
+            k = _kernel.count_in_ap_int(-((Ky + gn) // R), (Ky - gn) // R, (ci + r) % MN, MN)
+            if k == 0:
                 return 0
-            count *= ci
+            count *= k
         return count
 
-    symmetric = is_symmetric(req)
+    shells = {}
     zero = (0,) * n
     buckets = [0] * len(profiles)
     for a in reps:
-        weight = 1
-        if symmetric:
-            if a < zero:  # lexicographically: the first nonzero a_j < 0
-                continue
-            if a != zero:
-                weight = 2
-        # -- per-place data for q = a / Dq
-        place_data = []  # (p, j, e, residues mod p^(j+e))
-        D = 1
-        step = 0  # the first ladder step whose box holds q
-        for p, K, rows, dq, dq_unit, z_table, u_steps in fin:
-            minv = None
-            for aj in a:
-                if aj:
-                    v = _kernel.valuation(aj, p)
-                    if minv is None or v < minv:
-                        minv = v
-                        if v == 0:
-                            break
-            kappa = None if minv is None else dq - minv
-            j = z_table[kappa] if kappa is not None and kappa > 0 else 0
-            k_eff = 0 if kappa is None else max(kappa, 0)
-            if j + k_eff > K:
-                raise InsufficientPrecision(p, j + k_eff, K)
-            if kappa is not None:
-                entry = bisect_left(u_steps, kappa)
-                if entry > step:
-                    step = entry
-            svals = []
-            e = 0
-            for i in range(m):
-                Si = 0
-                row = rows[i]
-                for jj in range(n):
-                    Si += row[jj] * a[jj]
-                svals.append(Si)
-                if Si:
-                    need = dq - _kernel.valuation(Si, p)
-                    if need > e:
-                        e = need
-            place_data.append((p, j, e, dq, dq_unit, svals))
-            D *= p**e
-
-        # -- congruences per coordinate of p
-        coord_pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for p, j, e, dq, dq_unit, svals in place_data:
-            kap = j + e
-            if kap <= 0:
-                continue
-            modp = p**kap
-            inv_unit = cache.inverse(dq_unit % modp, modp) if dq_unit % modp != 1 else 1
-            pdq = p**dq
-            for i in range(m):
-                Si = svals[i]
-                if Si == 0:
-                    coord_pairs[i].append((0, modp))
-                else:
-                    num = D * Si
-                    coord_pairs[i].append(((-(num // pdq) * inv_unit) % modp, modp))
-        if N > 1:
-            DmodN = D % N
-            for i in range(m):
-                coord_pairs[i].append((DmodN * vm_res[i] % N, N))
-
-        # -- real-place window
-        amax = 0
-        for aj in a:
-            if aj > amax:
-                amax = aj
-            elif -aj > amax:
-                amax = -aj
-        Dgd = D * gd
+        g = math.gcd(P, *a)
+        sh = shells.get(g)
+        if sh is None:
+            sh = shells[g] = shell(g)
+        MN, rows, step = sh
+        amax = max(map(abs, a))
         trip = real_fn.value_triple(amax**n, Dqn)
         if trip is not None:
             vn, vd, w = trip
             if vn == vd:
-                Ky = Dgd
+                Ky = gd
             else:
                 E = m * w
-                Ky = _kernel.introot((vn * Dgd**E) // vd, E)
-            count_q = fibre_count(Ky, a, D, coord_pairs)
+                Ky = _kernel.introot((vn * gd**E) // vd, E)
+            count_q = fibre_count(Ky, a, MN, rows)
         else:
             # The fibre count never falls as Ky grows: every window
-            # [-(Ky + cnum) // gd, (Ky - cnum) // gd] widens with Ky.  So a
-            # zero count at k_hi is zero at the exact threshold, and equal
-            # counts at k_lo and k_hi are the count there.
-            t_real, mult = Fraction(amax**n, Dqn), Fraction(Dgd**m)
+            # [-(Ky + gn) // R, (Ky - gn) // R] widens with Ky.  So a zero
+            # count at k_hi is zero at the exact threshold, and equal counts
+            # at k_lo and k_hi are the count there.
+            t_real, mult = Fraction(amax**n, Dqn), Fraction(gd**m)
             k_lo, k_hi = real_fn.root_bracket(t_real, mult, m)
-            count_q = fibre_count(k_hi, a, D, coord_pairs)
-            if count_q and k_lo != k_hi and fibre_count(k_lo, a, D, coord_pairs) != count_q:
+            count_q = fibre_count(k_hi, a, MN, rows)
+            if count_q and k_lo != k_hi and fibre_count(k_lo, a, MN, rows) != count_q:
                 Ky = real_fn.max_root_leq(t_real, mult, m)
-                count_q = fibre_count(Ky, a, D, coord_pairs)
+                count_q = fibre_count(Ky, a, MN, rows)
         if count_q:
-            entry = bisect_left(real_bounds, amax)
-            if entry > step:
-                step = entry
-            buckets[step] += weight * count_q
+            step = max(step, bisect_left(real_bounds, amax))
+            buckets[step] += count_q if a == zero or not symmetric else 2 * count_q
     counts = list(itertools.accumulate(buckets))
     return counts if ladder is not None else counts[0]
 
@@ -504,20 +465,16 @@ def _check_ladder(req: CountRequest, ladder) -> list[NormProfile]:
 # brute-force oracle
 
 
-def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> int:
-    """Direct enumeration of candidate pairs, checking the defining
-    inequalities per place.  Small profiles only; this is the oracle the
-    fast counter is validated against."""
+def _brute_fibres(req: CountRequest) -> Iterator[tuple]:
+    """Per q of the box, what the brute force checks each candidate p
+    against, with the arguments of the p box it walks."""
     m, n = req.dims
     S = req.places
     N = req.modulus
-    psi = req.psi
-    sup = psi.real.sup_value()
-
+    sup = req.psi.real.sup_value()
     u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
     cong_q = (N, req.v_n) if N > 1 else None
-    total = 0
-    spent = 0
+    cong_p = (N, req.v_m) if N > 1 else None
     for q in enumerate_box(n, S, req.profile.t_inf, u_fin, cong_q, u_inf_root=n):
         # exact targets per place, from the matrix representatives
         g = [sum(req.matrix.real[i][j] * q[j] for j in range(n)) for i in range(m)]
@@ -532,19 +489,40 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
         thresholds = {}
         p_box_exp = {}
         for p in S.primes:
-            fn = psi.finite_fn(p)
             mv = min_valuation(q, p)
-            j = 0 if mv is None else fn.z_at_block(-mv)
+            j = 0 if mv is None else req.psi.finite_fn(p).z_at_block(-mv)
             thresholds[p] = j
             worst = max((-padic_valuation(c, p) for c in c_fin[p] if c != 0), default=0)
             p_box_exp[p] = max(0, int(worst), -j)
         u_inf_p = sup_norm(g) + max(Fraction(1), sup) if any(g) else max(Fraction(1), sup)
-        cong_p = (N, req.v_m) if N > 1 else None
+        yield g, c_fin, t_real, thresholds, (m, S, u_inf_p, p_box_exp, cong_p)
 
-        for pvec in enumerate_box(m, S, u_inf_p, p_box_exp, cong_p):
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"brute force budget {budget} exceeded")
+
+def bruteforce_cost(req: CountRequest) -> int:
+    """The number of candidate pairs ``count_solutions_bruteforce(req)``
+    checks: the closed-form size of each q's p box, summed over the q box."""
+    return sum(box_size(*fibre[-1]) for fibre in _brute_fibres(req))
+
+
+def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> int:
+    """Direct enumeration of candidate pairs, checking the defining
+    inequalities per place.  Small profiles only; this is the oracle the
+    fast counter is validated against.  A first pass sums the closed-form
+    p-box sizes and raises BudgetExceeded, before any pair is checked, once
+    the sum passes ``budget``."""
+    m, _ = req.dims
+    S = req.places
+    spent = 0
+    for *_, p_box in _brute_fibres(req):
+        spent += box_size(*p_box)
+        if spent > budget:
+            raise BudgetExceeded(
+                f"brute force needs more than {budget} candidate pairs; "
+                "shrink the profile or pass a larger budget"
+            )
+    total = 0
+    for g, c_fin, t_real, thresholds, p_box in _brute_fibres(req):
+        for pvec in enumerate_box(*p_box):
             ok = True
             for p in S.primes:
                 j = thresholds[p]
@@ -557,7 +535,7 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
                     break
             if ok:
                 lhs = sup_norm([g[i] + pvec[i] for i in range(m)]) ** m
-                ok = psi.real.leq_value(lhs, t_real)
+                ok = req.psi.real.leq_value(lhs, t_real)
             if ok:
                 total += 1
     return total

@@ -238,21 +238,16 @@ def box_denominator(places: PlaceSet, u_fin: Mapping[int, int]) -> int:
     return D
 
 
-def enumerate_box_raw(
+def _box_progressions(
     dim: int,
     places: PlaceSet,
     u_inf: Fraction,
     u_fin: Mapping[int, int],
-    congruence: tuple[int, Sequence[Fraction]] | None = None,
-    u_inf_root: int = 1,
-) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """Integer representatives of the box points: returns (D, iterator of a).
-
-    The box point for a representative a is q = a/D with D the common
-    denominator; a runs lexicographically, so the stream is deterministic.
-    The real bound on each |q_j| is u_inf ** (1/u_inf_root) (the root keeps
-    the enumeration exact when the bound is the n-th root of a rational).
-    """
+    congruence: tuple[int, Sequence[Fraction]] | None,
+    u_inf_root: int,
+) -> tuple[int, int, int, list[int]]:
+    """(D, B, modulus, residues): the representatives a of the box are the
+    integer vectors with |a_j| <= B and a_j = residues[j] (mod modulus)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     u_inf = Fraction(u_inf)
@@ -288,6 +283,25 @@ def enumerate_box_raw(
             # merge with a_j = 0 (mod step); the moduli are coprime
             new.append(_crt2(0, step, rj, N))
         residues = new
+    return D, B, modulus, residues
+
+
+def enumerate_box_raw(
+    dim: int,
+    places: PlaceSet,
+    u_inf: Fraction,
+    u_fin: Mapping[int, int],
+    congruence: tuple[int, Sequence[Fraction]] | None = None,
+    u_inf_root: int = 1,
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """Integer representatives of the box points: returns (D, iterator of a).
+
+    The box point for a representative a is q = a/D with D the common
+    denominator; a runs lexicographically, so the stream is deterministic.
+    The real bound on each |q_j| is u_inf ** (1/u_inf_root) (the root keeps
+    the enumeration exact when the bound is the n-th root of a rational).
+    """
+    D, B, modulus, residues = _box_progressions(dim, places, u_inf, u_fin, congruence, u_inf_root)
 
     def gen() -> Iterator[tuple[int, ...]]:
         axes = []
@@ -297,6 +311,21 @@ def enumerate_box_raw(
         yield from product(*axes)
 
     return D, gen()
+
+
+def box_size(
+    dim: int,
+    places: PlaceSet,
+    u_inf: Fraction,
+    u_fin: Mapping[int, int],
+    congruence: tuple[int, Sequence[Fraction]] | None = None,
+    u_inf_root: int = 1,
+) -> int:
+    """The number of representatives ``enumerate_box_raw`` yields for the
+    same arguments, in closed form: a product of one progression count per
+    axis."""
+    _, B, modulus, residues = _box_progressions(dim, places, u_inf, u_fin, congruence, u_inf_root)
+    return math.prod((B - rho) // modulus - (-B - 1 - rho) // modulus for rho in residues)
 
 
 def _crt2(r1: int, m1: int, r2: int, m2: int) -> int:

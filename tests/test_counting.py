@@ -2,15 +2,17 @@
 rescaling, discrepancy, and the combinatorial bounds."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sapprox.approx import (
     ApproxCollection,
+    ConstantOne,
     FiniteApproxFunction,
     LogLaw,
     PowerLaw,
@@ -27,15 +29,18 @@ from sapprox.checks import (
 )
 from sapprox.counting import (
     AffineLatticeSpec,
+    BudgetExceeded,
     CountRequest,
     InsufficientPrecision,
     TruncatedMatrix,
+    bruteforce_cost,
     count_solutions,
     count_solutions_bruteforce,
     default_dirichlet_constants,
     dirichlet_solve,
     discrepancy,
     embed_unipotent,
+    is_symmetric,
     profile_count_bound,
     rescale_congruence,
     verify_dirichlet,
@@ -49,7 +54,7 @@ from sapprox.sampler import (
     random_request,
     sample_matrix,
 )
-from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
+from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet, box_size, enumerate_box_raw
 from sapprox.volume import Region, volume_exact
 
 S2 = PlaceSet((2,))
@@ -272,9 +277,49 @@ class TestLadder:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(33277)  # its first draw costs the brute force 5.5 million pairs
     def test_ladder_matches_single_counts_and_brute_force(self, seed):
         ok, detail = check_ladder_counts(random.Random(seed), rounds=3)
         assert ok, detail
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_symmetric_box_starts_with_its_negative_half(self, seed):
+        # the symmetric pass skips the first box_size // 2 representatives:
+        # they must be exactly the a whose first nonzero coordinate is < 0
+        rng = random.Random(seed)
+        req = random_request(rng)
+        m, n = req.dims
+        N = req.modulus
+        shift = tuple(Fraction(rng.randrange(2) if N == 2 else 0) for _ in range(m + n))
+        req = dataclasses.replace(req, shift=shift)
+        assert is_symmetric(req)
+        u_fin = {p: req.profile.exponent(p) // n for p in req.places.primes}
+        box = (n, req.places, req.profile.t_inf, u_fin, (N, req.v_n) if N > 1 else None, n)
+        reps = list(enumerate_box_raw(*box)[1])
+        assert len(reps) == box_size(*box)
+        assert reps[: len(reps) // 2] == [a for a in reps if a < (0,) * n]
+        assert reps == [tuple(-x for x in a) for a in reversed(reps)]
+
+
+class TestBruteForceBudget:
+    def test_budget_is_checked_before_any_pair(self):
+        # a real part that refuses every comparison: only a walk calls it
+        class NoWalk(ConstantOne):
+            def leq_value(self, lhs, t):
+                raise AssertionError("the brute force walked before its budget check")
+
+        cfg = SamplerConfig.of(53, (1, 1), S2, {2: 10}, 2**10)
+        req = CountRequest(
+            S2, sample_matrix(cfg), psi_one(S2, 1, 1), NormProfile.of(Fraction(5), {2: 2})
+        )
+        cost = bruteforce_cost(req)
+        assert cost > 1
+        nowalk = dataclasses.replace(req, psi=ApproxCollection(1, 1, NoWalk(), req.psi.finite))
+        with pytest.raises(BudgetExceeded, match="larger budget"):
+            count_solutions_bruteforce(nowalk, budget=cost - 1)
+        assert count_solutions_bruteforce(req, budget=cost) == count_solutions(req)
 
 
 class TestDirichlet:
@@ -519,3 +564,67 @@ class TestPinnedOutputs:
             for q, psi, places, seed in pinned_fibres()
         ]
         assert got == self.FIBRE_HITS
+
+
+def pinned_ladder_lines():
+    """One line per seeded request: the counts of a nested ladder, or the
+    arguments of the InsufficientPrecision it raises.  The requests cover
+    S with up to two primes, N in {1, 2, 3, 5}, negative finite exponents,
+    constant, power and log laws (b > 0), bare and Scaled, and finite
+    step data with linear tails that outrun a shallow matrix."""
+    rng = random.Random(20261101)
+    for i in range(200):
+        places = PlaceSet(rng.choice([(), (2,), (3,), (2, 3), (3, 5)]))
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 3 - m)
+        real = rng.choice(
+            [
+                ConstantOne(),
+                PowerLaw(Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 2))),
+                LogLaw(Fraction(rng.randint(2, 12), 2), rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])),
+            ]
+        )
+        if rng.random() < 0.3:
+            real = Scaled(real, Fraction(1, rng.randint(1, 3)), Fraction(rng.randint(1, 3)))
+        fin = {}
+        for p in places.primes:
+            head = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(0, 2))))
+            tail = ("linear", rng.randint(1, 3), max(head, default=0)) if rng.random() < 0.25 else ("constant",)
+            fin[p] = FiniteApproxFunction(p, m, n, head, tail)
+        psi = ApproxCollection.of(real, fin, m, n)
+        N = rng.choice([N for N in (1, 2, 3, 5) if places.admissible_modulus(N)])
+        shift = tuple(Fraction(rng.randrange(N)) for _ in range(m + n))
+        if rng.random() < 0.4:
+            shift = tuple(Fraction(0) for _ in range(m + n))
+        cfg = SamplerConfig.of(
+            rng.randrange(2**32), (m, n), places, {p: rng.randint(2, 8) for p in places.primes}, 2**16
+        )
+        while True:
+            exps = {p: n * rng.randint(-1, 1) for p in places.primes}
+            ladder = [NormProfile.of(Fraction(rng.randint(1, 5)) ** n, exps)]
+            for _ in range(rng.randint(0, 2)):
+                exps = {p: e + n * rng.randint(0, 1) for p, e in exps.items()}
+                ladder.append(NormProfile.of(ladder[-1].t_inf * rng.choice([1, Fraction(3, 2), 2]) ** n, exps))
+            D = 1
+            for p, e in exps.items():
+                D *= p ** max(e // n, 0)
+            if (2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n <= 4000:
+                break
+        req = CountRequest(places, sample_matrix(cfg), psi, ladder[-1], N, shift)
+        try:
+            out = count_solutions(req, ladder)
+        except InsufficientPrecision as exc:
+            out = ("InsufficientPrecision", exc.place, exc.needed, exc.available)
+        yield f"{i} {out}"
+
+
+class TestPinnedCounts:
+    """A SHA-256 over the seeded ladder counts of ``pinned_ladder_lines``,
+    recorded before the counter fixed its clearing denominator at Dq: any
+    count, or any precision failure, that moves shows here."""
+
+    SHA256 = "7660296b01732952731796f895b81d7210aa6d8a649b96cb8788b8e69cfd06b3"
+
+    def test_table(self):
+        text = "\n".join(pinned_ladder_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256

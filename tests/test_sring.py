@@ -12,9 +12,11 @@ from sapprox.checks import check_box_enumeration, check_congruence_relation, che
 from sapprox.sring import (
     NormProfile,
     PlaceSet,
+    box_size,
     congruent_mod,
     count_in_ap,
     enumerate_box,
+    enumerate_box_raw,
     norm_at,
     padic_valuation,
 )
@@ -165,6 +167,27 @@ class TestEnumerateBox:
     def test_matches_direct_filter(self):
         ok, detail = check_box_enumeration(random.Random(31), rounds=30)
         assert ok, detail
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_box_size_is_the_number_enumerated(self, seed):
+        rng = random.Random(seed)
+        places = PlaceSet(rng.choice([(), (2,), (3,), (2, 3), (3, 5)]))
+        while True:  # keep the enumerated box under 5,000 points
+            dim = rng.randint(1, 3)
+            root = rng.randint(1, 3)
+            u_inf = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+            u_fin = {p: rng.randint(-2, 2) for p in places.primes}
+            D = math.prod(p ** max(e, 0) for p, e in u_fin.items())
+            if (2 * D * max(u_inf, 1) + 1) ** dim <= 5000:
+                break
+        congruence = None
+        if rng.random() < 0.6:
+            N = rng.choice([N for N in (2, 3, 5, 7) if places.admissible_modulus(N)])
+            den = rng.choice([1] + list(places.primes))
+            congruence = (N, tuple(Fraction(rng.randint(-9, 9), den) for _ in range(dim)))
+        args = (dim, places, u_inf, u_fin, congruence, root)
+        assert box_size(*args) == len(list(enumerate_box_raw(*args)[1]))
 
     def test_deterministic_order(self):
         S = PlaceSet((2,))
