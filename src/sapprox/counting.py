@@ -4,26 +4,37 @@ The counter answers: how many pairs (p, q) in Z_S^m x Z_S^n satisfy, at
 every place, ||A_p q + p||_p^m <= psi_p(||q||_p^n) and ||q||_p^n <= T_p,
 with (p, q) congruent to a fixed vector modulo N.
 
-The fast path enumerates q = a / Dq over the adelic box, Dq = prod p**dq_p
-the box denominator, and counts the p over each q as integers b = Dq * p.
-Every admissible p has v_p(p_i) >= -dq_p, so b is integral, and the
-finite-place conditions on p become congruences on b: at p, the ball around
--A_p q is b = -A_p a (mod p**(j_p + dq_p)), with j_p the threshold exponent
-of psi_p at q.  A smaller clearing denominator (the least one that clears a
-given q) gives the same count: raising it to Dq multiplies every b by a
-power of S-primes, a bijection that keeps the p-adic balls, the real window
-and b = Dq * v_m (mod N), since j_p >= 0 and N is coprime to S.  With one
-denominator the places fold, by the Chinese remainder theorem, into one
-congruence per coordinate, b_i = -(Atil a)_i (mod M) with Atil the CRT of
-the representative rows, and into b_i = Dq * v_i (mod N).  M = prod
-p**(j_p + dq_p) depends on q only through its valuation shell, min(v_p(a),
-cap_p) at each p, which gcd(P, *a) names in one call; each shell's modulus,
-CRT idempotents and entry step are built once, the first time it is seen.
-The real-place window is resolved by the closed-form
-arithmetic-progression counter, so the cost per q is independent of the
-size of the real box.  The count at q does not depend on the profile, so one
-pass over the largest box of a nested ladder counts every step of it, and
-the q -> -q symmetry halves the pass when the congruence allows it.
+Three routines solve the same fibre problem, the p over a fixed q whose
+p-adic balls and real window all hold: the counter, the Dirichlet solver
+and the fibre oracle X_q.  Each fixes one clearing denominator D per call,
+a product of S-primes with v_p(D) >= max(kappa_p, -j_p) at every p, where
+kappa_p = -v_p(q) over the q it visits and j_p is the threshold exponent of
+psi_p at q.  Every admissible p then has v_p(p_i) >= -v_p(D), so b = D * p
+is integral, and the ball at p around -A_p q becomes the congruence
+b = -D A_p q (mod p**(j_p + v_p(D))).  Any deeper D gives the same answer:
+raising D multiplies every b by a power of S-primes, a bijection that keeps
+the p-adic balls, the real window, the order of the b (so a pick nearest to
+zero picks the same p) and b = D * v_m (mod N), since N is coprime to S.
+The places fold, by the Chinese remainder theorem, into one congruence per
+coordinate, b_i = -(D / Dq) (Atil a)_i (mod M) for q = a / Dq, with Atil
+the CRT of the representative rows (``_crt_rows``) and M = prod
+p**(j_p + v_p(D)).
+
+- The counter enumerates q = a / Dq over the adelic box, Dq = prod p**dq_p
+  the box denominator, takes D = Dq, and folds b_i = Dq * v_i (mod N) in.
+  M depends on q only through its valuation shell, min(v_p(a), cap_p) at
+  each p, which gcd(P, *a) names in one call; each shell's modulus, CRT
+  idempotents and entry step are built once, the first time it is seen.
+  The real-place window is resolved by the closed-form
+  arithmetic-progression counter, so the cost per q is independent of the
+  size of the real box.  The count at q does not depend on the profile, so
+  one pass over the largest box of a nested ladder counts every step of
+  it, and the q -> -q symmetry halves the pass when the congruence allows.
+- The Dirichlet solver scans q = a / Dq by height and takes D = prod
+  p**max(u_p, -j_p): its constants fix one j_p per place, which may be
+  negative, so D and M are fixed per call.
+- The fibre oracle takes D = prod p**max(kappa_p, 0) for its one q (its
+  j_p >= 0); each draw X_p gives the residues, folded over fixed moduli.
 
 A direct brute-force twin checks every candidate pair against the defining
 inequalities and serves as the oracle for the fast path.
@@ -54,7 +65,7 @@ from .sring import (
     padic_valuation,
     sup_norm,
 )
-from .volume import Region, contains, contains_pair, volume_exact
+from .volume import Region, check_sample_count, contains, contains_pair, volume_exact
 
 
 class InsufficientPrecision(Exception):
@@ -208,20 +219,11 @@ class CountRequest:
 
 
 class _CrtCache:
-    """Caches modular inverses and two-modulus merges; the moduli seen while
-    counting repeat heavily across q."""
+    """Caches two-modulus merges: the fibre oracle folds the same moduli on
+    every draw."""
 
     def __init__(self):
-        self.inv = {}
         self.merge = {}
-
-    def inverse(self, a: int, mod: int) -> int:
-        key = (a, mod)
-        out = self.inv.get(key)
-        if out is None:
-            out = pow(a, -1, mod)
-            self.inv[key] = out
-        return out
 
     def crt_fold(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
         """Merge (residue, modulus) pairs with pairwise coprime moduli."""
@@ -235,7 +237,7 @@ class _CrtCache:
             key = (M, m2)
             pair = self.merge.get(key)
             if pair is None:
-                pair = (self.inverse(M % m2, m2), M * m2)
+                pair = (pow(M, -1, m2), M * m2)
                 self.merge[key] = pair
             inv, prod = pair
             r = (r + ((r2 - r) * inv % m2) * M) % prod
@@ -243,37 +245,18 @@ class _CrtCache:
         return r, M
 
 
-def _congruence_pairs(
-    stage: Sequence[tuple[int, int, Sequence[Fraction]]], rows: int
-) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The finite-place conditions on p as congruences on b = D * p.
-
-    ``stage`` holds, per finite place, (p, j, c): the threshold exponent j
-    and the rational targets c_i, one per row, that p_i must approach to
-    within p^(-j).  The clearing exponent e_p = max(0, -min_i v_p(c_i), -j)
-    makes D = prod p^(e_p) a common denominator, and each place with
-    kappa = j + e_p > 0 contributes b_i = -D c_i (mod p^kappa).  Returns
-    (D, pairs_by_row) with the (residue, modulus) pairs to CRT-fold per row.
-    """
-    D = 1
-    cleared = []
-    for p, j, c in stage:
-        worst = max((-padic_valuation(ci, p) for ci in c if ci != 0), default=0)
-        e = max(0, worst, -j)
-        cleared.append((p, j + e, c))
-        D *= p**e
-    pairs_by_row: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-    for p, kap, c in cleared:
-        if kap <= 0:
-            continue
-        modp = p**kap
-        for i in range(rows):
-            x = D * c[i]
-            if x == 0:
-                pairs_by_row[i].append((0, modp))
-            else:
-                pairs_by_row[i].append(((-x.numerator * pow(x.denominator, -1, modp)) % modp, modp))
-    return D, pairs_by_row
+def _crt_rows(matrix: TruncatedMatrix) -> list[list[int]]:
+    """Atil, the CRT of the representative rows: one integer matrix with
+    Atil = A_p (mod p**K_p) at every finite place p."""
+    m, n = matrix.shape
+    Atil, PK = [[0] * n for _ in range(m)], 1
+    for (p, rows), (_, K) in zip(matrix.finite, matrix.precision):
+        pK = p**K
+        inv = pow(PK, -1, pK)
+        for Arow, row in zip(Atil, rows):
+            Arow[:] = [x + PK * ((r - x) * inv % pK) for x, r in zip(Arow, row)]
+        PK *= pK
+    return Atil
 
 
 # --------------------------------------------------------------------------
@@ -354,15 +337,14 @@ def count_solutions(
         for prof in profiles
     ]
 
-    # At p the ball around -A_p q is b = -A_p a (mod p**(j + dq)).  Atil is
-    # the CRT of the representative rows mod prod p**K, and p**v dividing a
-    # makes Atil a = A_p a mod p**(K + v), which covers p**(j + dq) whenever
-    # the precision check j + kappa <= K passes.  j, kappa and the entry
-    # step depend on a only through min(v_p(a), cap_p): beyond cap_p, kappa
-    # <= min(u_0, 0), so j = 0 and the entry step is 0.  gcd(P, *a) names
-    # every capped valuation at once.
-    fin, P, PK = [], 1, 1
-    Atil = [[0] * n for _ in range(m)]
+    # At p the ball around -A_p q is b = -A_p a (mod p**(j + dq)).  p**v
+    # dividing a makes Atil a = A_p a mod p**(K + v), which covers
+    # p**(j + dq) whenever the precision check j + kappa <= K passes.  j,
+    # kappa and the entry step depend on a only through min(v_p(a), cap_p):
+    # beyond cap_p, kappa <= min(u_0, 0), so j = 0 and the entry step is 0.
+    # gcd(P, *a) names every capped valuation at once.
+    Atil = _crt_rows(req.matrix)
+    fin, P = [], 1
     for p in S.primes:
         dq = max(u_fin[p], 0)
         K = req.matrix.K(p)
@@ -370,11 +352,7 @@ def count_solutions(
         u_steps = [prof.exponent(p) // n for prof in profiles]
         z_table = tuple(req.psi.finite_fn(p).z_at_block(k) for k in range(dq + 1))
         fin.append((p, K, dq, z_table, u_steps))
-        inv = pow(PK, -1, p**K)
-        for Arow, row in zip(Atil, req.matrix.finite_rows(p)):
-            Arow[:] = [x + PK * ((r - x) * inv % p**K) for x, r in zip(Arow, row)]
         P *= p ** (dq - min(u_steps[0], 0))
-        PK *= p**K
     # b_i = Dq * v_i (mod N), with the S-supported denominator of v_i inverted
     vm_res = [Dq * v.numerator * pow(v.denominator, -1, N) % N for v in req.v_m]
 
@@ -562,89 +540,83 @@ def dirichlet_solve(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """A nontrivial (p, q) with ||q||_p <= T_p and ||A_p q + p||_p^m <= C_p T_p^(-n)
     at every place.  The profile bounds the norms themselves here (not their
-    n-th powers) and must have T_p >= 1.
+    n-th powers) and must have T_p >= 1.  ``constants`` overrides some of
+    the defaults: C_inf >= 0 under the key ``REAL_PLACE`` and C_p > 0 under
+    each prime of S.
 
-    The search scans q by increasing height and solves the per-place
-    congruence/window constraints for p in closed form, so exhausting the
-    box (which the pigeonhole guarantee forbids) raises SearchExhausted.
+    The search scans q = a / Dq by increasing height, Dq = prod p**u_p with
+    T_p = p**u_p, and picks each p_i = b_i / D in closed form, as the counter
+    does: with j_p the threshold exponent that C_p fixes at p, D = prod
+    p**e_p, e_p = max(u_p, -j_p), clears every admissible p, and the balls
+    become one congruence per coordinate, b_i = -(D / Dq) (Atil a)_i
+    (mod M) with M = prod p**(j_p + e_p).  Of the b_i that also lie in the
+    real window it takes the largest <= 0, else the smallest.  Exhausting the box (which
+    the pigeonhole guarantee forbids) raises SearchExhausted.
     """
     m, n = matrix.shape
     if profile.t_inf < 1 or any(e < 0 for _, e in profile.fin_exp):
         raise ValueError("Dirichlet systems need T_p >= 1 at every place")
-    consts = dict(default_dirichlet_constants(places, m))
-    if constants:
-        consts.update(constants)
+    consts = default_dirichlet_constants(places, m)
+    for key, c in (constants or {}).items():
+        if key != REAL_PLACE and key not in places.primes:
+            raise ValueError(
+                f"Dirichlet constant key {key!r} is neither {REAL_PLACE!r} nor a prime of S"
+            )
+        consts[key] = Fraction(c)
+    if consts[REAL_PLACE] < 0:
+        raise ValueError(f"Dirichlet constant C_inf must be >= 0, got {consts[REAL_PLACE]}")
 
-    v_real = Fraction(consts[REAL_PLACE]) / profile.t_inf**n
-    fin = []  # (p, j, K, finite rows of A as exact rationals)
+    Dq, D, M, fin = 1, 1, 1, []
     for p in places.primes:
-        k = profile.exponent(p)
-        C = Fraction(consts[p])
-        # smallest j with p^(-jm) <= C p^(-kn)
-        j = math.ceil((k * n - math.log(C) / math.log(p)) / m) - 2
-        while Fraction(p) ** (k * n - j * m) > C:
+        u, C = profile.exponent(p), consts[p]
+        if C <= 0:
+            raise ValueError(f"Dirichlet constant C_{p} must be > 0, got {C}")
+        # smallest j with p^(-jm) <= C p^(-un)
+        j = math.ceil((u * n - math.log(C) / math.log(p)) / m) - 2
+        while Fraction(p) ** (u * n - j * m) > C:
             j += 1
-        rows = [[matrix.finite_fraction(p, i, jj) for jj in range(n)] for i in range(m)]
-        fin.append((p, j, matrix.K(p), rows))
-
-    u_fin = {p: e for p, e in profile.fin_exp}
-    Dq = 1
-    for p in places.primes:
-        Dq *= p ** u_fin[p]
+        e = max(u, -j)
+        Dq, D, M = Dq * p**u, D * p**e, M * p ** (j + e)
+        # a q with v_p(q) = -kappa needs K_p >= max(j, 0) + kappa
+        fin.append((p, max(j, 0) + u, matrix.K(p)))
+    lam = D // Dq
+    W = [[-lam * x % M for x in row] for row in _crt_rows(matrix)]
+    # With real rows A_i / R, p_i = b_i / D lies in the real window iff
+    # |lam A_i a + R b_i| <= C_inf**(1/m) T_inf**(-n/m) * R * D
+    R, Areal = _real_row_data(matrix)
+    v_real = consts[REAL_PLACE] / profile.t_inf**n
+    Ky = _kernel.introot((v_real.numerator * (R * D) ** m) // v_real.denominator, m)
     B = (Dq * profile.t_inf.numerator) // profile.t_inf.denominator
 
-    cache = _CrtCache()
     tested = 0
     for a in _by_height(n, B):
         tested += 1
         if tested > budget:
             raise BudgetExceeded("Dirichlet search budget exceeded")
-        q = tuple(Fraction(aj, Dq) for aj in a)
-        g = [sum(matrix.real[i][j] * q[j] for j in range(n)) for i in range(m)]
-        stage = []
-        for p, j, K, rows in fin:
-            mv = min_valuation(q, p)
-            kq = -mv if mv is not None else 0
-            needed = max(j, 0) + max(kq, 0)
+        g = math.gcd(Dq, *a)
+        for p, need, K in fin:
+            needed = need - _kernel.valuation(g, p)
             if needed > K:
                 raise InsufficientPrecision(p, needed, K)
-            stage.append((p, j, [sum(row[jj] * q[jj] for jj in range(n)) for row in rows]))
-        D, pairs_by_coord = _congruence_pairs(stage, m)
-
         bvec = []
-        for i in range(m):
-            gi = D * g[i]
-            gn, gdi = gi.numerator, gi.denominator
-            K = _kernel.introot((v_real.numerator * (D * gdi) ** m) // v_real.denominator, m)
-            lo = -((K + gn) // gdi)
-            hi = (K - gn) // gdi
-            r_i, M_i = cache.crt_fold(pairs_by_coord[i])
-            b = _pick_in_ap(lo, hi, r_i, M_i)
+        for Ai, Wi in zip(Areal, W):
+            gn = lam * sum(x * aj for x, aj in zip(Ai, a))
+            r = sum(y * aj for y, aj in zip(Wi, a)) % M
+            b = _pick_in_ap(-((Ky + gn) // R), (Ky - gn) // R, r, M)
             if b is None:
-                bvec = None
                 break
-            bvec.append((b, lo, hi, r_i, M_i))
-        if bvec is None:
-            continue
-        pvec = tuple(Fraction(b, D) for b, *_ in bvec)
-        if not any(q) and not any(pvec):
-            # the zero pair is trivial: try to bump one coordinate off zero
-            bumped = None
-            for i, (b, lo, hi, r_i, M_i) in enumerate(bvec):
-                for cand in (b + M_i, b - M_i):
-                    if lo <= cand <= hi and cand != 0:
-                        bumped = (i, cand)
-                        break
-                if bumped:
-                    break
-            if bumped is None:
-                continue
-            i, cand = bumped
-            pvec = tuple(
-                Fraction(cand if k == i else bvec[k][0], D) for k in range(m)
-            )
-        verify_dirichlet(matrix, profile, places, consts, pvec, q)
-        return pvec, q
+            bvec.append(b)
+        else:
+            if not any(a):
+                # the zero pair is trivial.  At a = 0 every window is
+                # [-(Ky // R), Ky // R] and holds b = 0: bump b_1 to M
+                if M > Ky // R:
+                    continue
+                bvec[0] = M
+            pvec = tuple(Fraction(b, D) for b in bvec)
+            q = tuple(Fraction(aj, Dq) for aj in a)
+            verify_dirichlet(matrix, profile, places, consts, pvec, q)
+            return pvec, q
     raise SearchExhausted("no solution in the guaranteed box; this is a bug")
 
 
@@ -953,47 +925,46 @@ def x_region_volume_mc(
 ):
     """Monte Carlo volume of X_q: sample X uniformly from the fundamental
     domain per coordinate and decide, exactly, whether some b in Z_S brings
-    X.q + b inside every window.  Returns (estimate, std_error, hits)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    X.q + b inside every window.  Returns (estimate, std_error, hits).
+
+    The fibre is cleared as in the counter: with kappa_p = max(-v_p(q), 0),
+    D = prod p**kappa_p makes D b integral for every admissible b, and with
+    a = D q the ball at p is D b = -X_p . a (mod p**(j_p + kappa_p)).  A real
+    draw is k / 2**53, so the real window is |k . a + 2**53 D b| <=
+    psi**(1/m) * 2**53 * D, whose threshold is computed once per call."""
+    check_sample_count(samples)
     if not any(qvec):
         raise ValueError("the fiber region is for nonzero q")
     m, n = psi.m, psi.n
     qvec = tuple(Fraction(c) for c in qvec)
+    if not places.contains_vector(qvec):
+        raise ValueError("the fiber region is for q in Z_S^n")
 
-    fin_data = []
+    D, fin_data = 1, []  # (p**(j + kappa), p**depth) per place
     for p in places.primes:
-        mv = min_valuation(qvec, p)
-        kappa = -mv if mv is not None else 0
+        kappa = max(-min_valuation(qvec, p), 0)
         j = psi.finite_fn(p).z_at_block(kappa)
-        depth = j + 2 * max(kappa, 0) + 1
-        fin_data.append((p, j, p**depth))
+        D *= p**kappa
+        fin_data.append((p ** (j + kappa), p ** (j + 2 * kappa + 1)))
+    a = [int(D * c) for c in qvec]
+    res = 2**53
     t_real = sup_norm(qvec) ** n
     trip = psi.real.value_triple(t_real.numerator, t_real.denominator)
-    res = 2**53
+    if trip is not None:
+        vn, vd, w = trip
+        E = m * w
+        Ky = _kernel.introot((vn * (res * D) ** E) // vd, E)
+    else:
+        Ky = psi.real.max_root_leq(t_real, Fraction((res * D) ** m), m)
     cache = _CrtCache()
 
     rng = random.Random(derive_seed(seed, "xq"))
     hits = 0
     for _ in range(samples):
-        xs_real = [Fraction(rng.randrange(res), res) for _ in range(n)]
-        sigma_real = sum(x * q for x, q in zip(xs_real, qvec))
-        stage = []
-        for p, j, residues in fin_data:
-            xs_p = [rng.randrange(residues) for _ in range(n)]
-            stage.append((p, j, [sum(x * q for x, q in zip(xs_p, qvec))]))
-        D, (pairs,) = _congruence_pairs(stage, 1)
+        s = sum(rng.randrange(res) * aj for aj in a)
+        pairs = [(-sum(rng.randrange(depth) * aj for aj in a), mod) for mod, depth in fin_data]
         r, M = cache.crt_fold(pairs)
-        c = D * sigma_real
-        if trip is not None:
-            vn, vd, w = trip
-            E = m * w
-            Ky = _kernel.introot((vn * (c.denominator * D) ** E) // vd, E)
-        else:
-            Ky = psi.real.max_root_leq(t_real, Fraction((c.denominator * D) ** m), m)
-        lo = -((Ky + c.numerator) // c.denominator)
-        hi = (Ky - c.numerator) // c.denominator
-        if _kernel.count_in_ap_int(lo, hi, r, M) >= 1:
+        if _kernel.count_in_ap_int(-((Ky + s) // res), (Ky - s) // res, r, M) >= 1:
             hits += 1
     phat = hits / samples
     se = math.sqrt(phat * (1 - phat) / samples)

@@ -204,6 +204,13 @@ def _cover_radius(bound: Fraction, root: int) -> float:
     return r
 
 
+def check_sample_count(samples) -> None:
+    """Reject a Monte Carlo sample count that is not an int >= 1 (a bool
+    included), before any draw."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
+
+
 def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloResult:
     """Uniform sampling of the bounding adelic box with exact membership tests.
 
@@ -215,8 +222,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     fixed-size blocks with independently derived streams, so the result is
     independent of how blocks would be distributed across workers.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
+    check_sample_count(samples)
     if region.profile.t_inf < 1:
         raise ValueError("Monte Carlo oracle requires T_inf >= 1")
     m, n = region.m, region.n

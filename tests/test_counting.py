@@ -32,6 +32,7 @@ from sapprox.counting import (
     BudgetExceeded,
     CountRequest,
     InsufficientPrecision,
+    SearchExhausted,
     TruncatedMatrix,
     bruteforce_cost,
     count_solutions,
@@ -356,6 +357,30 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_solve(zero_matrix(1, 1, S2), NormProfile.of(Fraction(1, 2), {2: 1}), S2)
 
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({2: Fraction(0)}, "C_2 must be > 0"),
+            ({2: Fraction(-1, 2)}, "C_2 must be > 0"),
+            ({REAL_PLACE: Fraction(-1)}, "C_inf must be >= 0"),
+            ({7: Fraction(1)}, "key 7 is neither 'inf' nor a prime of S"),
+            ({"2": Fraction(1)}, "key '2' is neither 'inf' nor a prime of S"),
+        ],
+    )
+    def test_rejects_bad_constants(self, constants, message):
+        A = TruncatedMatrix.of([[Fraction(1, 3)]], {2: [[1]]}, {2: 10})
+        with pytest.raises(ValueError, match=message):
+            dirichlet_solve(A, NormProfile.of(Fraction(3), {2: 1}), S2, constants)
+
+    def test_zero_real_constant_asks_for_an_exact_pair(self):
+        # C_inf = 0 asks for A q + p = 0 at the real place
+        A = TruncatedMatrix.of([[Fraction(1, 3)]], {2: [[1]]}, {2: 10})
+        prof = NormProfile.of(Fraction(3), {2: 1})
+        constants = {REAL_PLACE: Fraction(0)}
+        pvec, qvec = dirichlet_solve(A, prof, S2, constants)
+        assert Fraction(1, 3) * qvec[0] + pvec[0] == 0
+        verify_dirichlet(A, prof, S2, {**default_dirichlet_constants(S2, 1), **constants}, pvec, qvec)
+
 
 class TestRescale:
     def test_identity_transform(self):
@@ -482,6 +507,15 @@ class TestFiberRegion:
         with pytest.raises(ValueError):
             x_region_bound((Fraction(0),), psi_one(S2, 1, 1), S2)
 
+    @pytest.mark.parametrize("samples", [0, 2.5, True, "3"])
+    def test_rejects_a_non_int_sample_count(self, samples):
+        with pytest.raises(ValueError, match="samples must be an int >= 1"):
+            x_region_volume_mc((Fraction(1),), psi_one(S2, 1, 1), S2, samples, seed=1)
+
+    def test_rejects_q_outside_z_s(self):
+        with pytest.raises(ValueError, match="Z_S"):
+            x_region_volume_mc((Fraction(1, 3),), psi_one(S2, 1, 1), S2, 10, seed=1)
+
 
 def pinned_dirichlet_systems():
     """20 seeded Dirichlet systems, every fourth with unit constants."""
@@ -564,6 +598,93 @@ class TestPinnedOutputs:
             for q, psi, places, seed in pinned_fibres()
         ]
         assert got == self.FIBRE_HITS
+
+
+PINNED_PLACES = [(), (2,), (3,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
+
+
+def _outcome(call):
+    """The call's result, or its exception as its name and text."""
+    try:
+        return call()
+    except (InsufficientPrecision, BudgetExceeded, SearchExhausted) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def wide_dirichlet_lines():
+    """One line per seeded Dirichlet system: the solution, or the exception
+    it raises.  Two in three systems pass constants: C_p from p**-1 to p**4
+    at most places, C_inf in {0, 1/2, 1, 3/2, 4} at most; the rest take the
+    defaults, whose exponent 0 gives a negative threshold j.  T_inf need not
+    be an integer, and a shallow K at some places makes systems raise
+    InsufficientPrecision."""
+    rng = random.Random(20261201)
+    for i in range(300):
+        places = PlaceSet(rng.choice(PINNED_PLACES))
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 3 - m)
+        cfg = SamplerConfig.of(
+            rng.randrange(2**32), (m, n), places, {p: rng.randint(1, 12) for p in places.primes}, 2**12
+        )
+        t_inf = rng.choice([Fraction(rng.randint(1, 6)), Fraction(rng.randint(4, 24), rng.randint(2, 4))])
+        profile = NormProfile.of(t_inf, {p: rng.randint(0, 2) for p in places.primes})
+        constants = None
+        if i % 3:
+            constants = {p: Fraction(p) ** rng.randint(-1, 4) for p in places.primes if rng.random() < 0.8}
+            if rng.random() < 0.7:
+                constants[REAL_PLACE] = rng.choice(
+                    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(4)]
+                )
+        A = sample_matrix(cfg)
+        out = _outcome(lambda: dirichlet_solve(A, profile, places, constants, budget=1500))
+        if isinstance(out, tuple):
+            out = tuple(tuple(map(str, v)) for v in out)
+        yield f"{i} {out}"
+
+
+def wide_fibre_lines():
+    """One line per seeded fibre X_q: (estimate, std_error, hits) at 120
+    samples.  Real parts cycle through the constant, power and log laws
+    (b = 0 and b > 0); q has denominators 1, p, p**2 or the radical of S."""
+    rng = random.Random(20261202)
+    for i in range(150):
+        places = PlaceSet(rng.choice(PINNED_PLACES))
+        m, n = rng.randint(1, 2), rng.randint(1, 2)
+        if i % 5 == 0:
+            real = ConstantOne()
+        elif i % 5 < 3:
+            real = PowerLaw(Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3)))
+        else:
+            real = LogLaw(Fraction(rng.randint(2, 12), 2), rng.choice([Fraction(0), Fraction(1, 2), Fraction(2)]))
+        fin = {}
+        for p in places.primes:
+            head = tuple(sorted(rng.randint(0, 3) for _ in range(rng.randint(0, 3))))
+            tail = ("linear", rng.randint(1, 2), max(head, default=0)) if rng.random() < 0.3 else ("constant",)
+            fin[p] = FiniteApproxFunction(p, m, n, head, tail)
+        psi = ApproxCollection.of(real, fin, m, n)
+        dens = [1] + [p**k for p in places.primes for k in (1, 2)] + [places.radical or 1]
+        q = tuple(Fraction(rng.randint(-12, 12), rng.choice(dens)) for _ in range(n))
+        if not any(q):
+            q = (Fraction(1),) + q[1:]
+        seed = rng.randrange(2**32)
+        yield f"{i} {_outcome(lambda: x_region_volume_mc(q, psi, places, 120, seed))}"
+
+
+class TestPinnedFibreTables:
+    """SHA-256 tables over 300 Dirichlet systems and 150 fibres, recorded
+    before the solver and the fibre oracle took the box denominator: any
+    solution, exception or hit count that moves shows here."""
+
+    DIRICHLET_SHA256 = "f5fadf146ab202b4bcad3170d5affb1d451ed78003478d86f2b8e7222f04c972"
+    FIBRE_SHA256 = "b3d0668edd4969a86db5ad946063681a1c5fe27b1c5ae087127973f57d2c36b2"
+
+    def test_dirichlet_table(self):
+        text = "\n".join(wide_dirichlet_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIRICHLET_SHA256
+
+    def test_fibre_table(self):
+        text = "\n".join(wide_fibre_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FIBRE_SHA256
 
 
 def pinned_ladder_lines():
