@@ -43,7 +43,7 @@ from typing import Mapping
 import mpmath
 
 from . import _kernel
-from .sring import PlaceSet, _is_prime
+from .sring import PlaceSet, _is_prime, lookup
 
 
 class UndecidedComparison(ArithmeticError):
@@ -152,9 +152,6 @@ class RealApproxFunction:
     kind whose triple can be None (the log law with b > 0) overrides those
     two comparisons with interval fallbacks.
     """
-
-    #: whether the plateau invariant psi((0,1]) = 1 holds structurally
-    normalized = True
 
     def value_triple(self, tn: int, td: int) -> tuple[int, int, int] | None:
         """psi(tn/td) as an unreduced root triple (vn, vd, w), meaning
@@ -397,57 +394,57 @@ class LogLaw(RealApproxFunction):
         finally:
             iv.prec = old
 
+    def _escalate(self, t: Fraction, decide, tie: str):
+        """The first answer ``decide(g)`` gives, None meaning undecided, on
+        the enclosures g = ``_g_interval(t, prec)`` at escalating precision;
+        ``decide`` runs at the precision of its g.  Raises
+        UndecidedComparison(tie) when no precision decides."""
+        iv = mpmath.iv
+        for prec in (64, 128, 512, 2048):
+            old = iv.prec
+            try:
+                iv.prec = prec
+                answer = decide(self._g_interval(t, prec))
+            finally:
+                iv.prec = old
+            if answer is not None:
+                return answer
+        raise UndecidedComparison(tie)
+
     def leq_value(self, lhs, t):
         t, lhs = Fraction(t), Fraction(lhs)
         if lhs > 1:
             return False
         if t <= 1 or self.b == 0:
             return super().leq_value(lhs, t)
-        iv = mpmath.iv
-        for prec in (64, 128, 512, 2048):
-            old = iv.prec
-            try:
-                iv.prec = prec
-                g = self._g_interval(t, prec)
-                f = iv.mpf(lhs.numerator) / iv.mpf(lhs.denominator)
-                d = g - f
-            finally:
-                iv.prec = old
-            if d.a >= 0:
-                return True
-            if d.b < 0:
-                return False
-        raise UndecidedComparison(f"psi(t) tie at t={t}")
+
+        def decide(g):
+            d = g - mpmath.iv.mpf(lhs.numerator) / mpmath.iv.mpf(lhs.denominator)
+            return True if d.a >= 0 else False if d.b < 0 else None
+
+        return self._escalate(t, decide, f"psi(t) tie at t={t}")
 
     def max_root_leq(self, t, mult, e):
         t, mult = Fraction(t), Fraction(mult)
         if t <= 1 or self.b == 0:
             return super().max_root_leq(t, mult, e)
-        iv = mpmath.iv
-        for prec in (64, 128, 512, 2048):
-            old = iv.prec
-            try:
-                iv.prec = prec
-                g = self._g_interval(t, prec)
-                if g.a >= 1:
-                    # plateau: the value is exactly 1 and the threshold is the
-                    # exact integer root of mult (an interval floor can never
-                    # settle that boundary)
-                    return _kernel.introot(mult.numerator // mult.denominator, e)
-                root = None
-                if g.b < 1:
-                    mm = iv.mpf(mult.numerator) / iv.mpf(mult.denominator)
-                    prod = g * mm
-                    if prod.a > 0:
-                        root = iv.exp(iv.log(prod) / e)
-            finally:
-                iv.prec = old
-            if root is not None:
-                klo = int(mpmath.floor(root.a))
-                khi = int(mpmath.floor(root.b))
-                if klo == khi:
-                    return max(klo, 0)
-        raise UndecidedComparison(f"root threshold tie at t={t}")
+
+        def decide(g):
+            if g.a >= 1:
+                # plateau: the value is exactly 1 and the threshold is the
+                # exact integer root of mult (an interval floor can never
+                # settle that boundary)
+                return _kernel.introot(mult.numerator // mult.denominator, e)
+            if g.b < 1:
+                prod = g * (mpmath.iv.mpf(mult.numerator) / mpmath.iv.mpf(mult.denominator))
+                if prod.a > 0:
+                    root = mpmath.iv.exp(mpmath.iv.log(prod) / e)
+                    klo, khi = int(mpmath.floor(root.a)), int(mpmath.floor(root.b))
+                    if klo == khi:
+                        return max(klo, 0)
+            return None
+
+        return self._escalate(t, decide, f"root threshold tie at t={t}")
 
     def root_bracket(self, t, mult, e):
         """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi, from
@@ -581,8 +578,6 @@ class Scaled(RealApproxFunction):
     base: RealApproxFunction
     value_scale: Fraction
     arg_scale: Fraction
-
-    normalized = False
 
     def __post_init__(self):
         object.__setattr__(self, "value_scale", Fraction(self.value_scale))
@@ -789,10 +784,7 @@ class ApproxCollection:
         return cls(m, n, real, tuple(sorted(finite.items())))
 
     def finite_fn(self, p: int) -> FiniteApproxFunction:
-        for q, fn in self.finite:
-            if q == p:
-                return fn
-        raise KeyError(p)
+        return lookup(self.finite, p)
 
     def check_places(self, places: PlaceSet) -> None:
         if tuple(p for p, _ in self.finite) != places.primes:

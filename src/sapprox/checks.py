@@ -29,7 +29,6 @@ from .counting import (
     bruteforce_cost,
     count_solutions,
     count_solutions_bruteforce,
-    default_dirichlet_constants,
     dirichlet_solve,
     discrepancy,
     is_symmetric,
@@ -100,13 +99,21 @@ def check_valuation_props(rng: random.Random, rounds: int = 300):
 
 
 def check_box_enumeration(rng: random.Random, rounds: int = 25):
-    """enumerate_box matches the direct-definition filter on an ambient grid."""
+    """enumerate_box matches the direct-definition filter on an ambient grid.
+    About half the rounds restrict the box to a congruence q = v (mod N)."""
+    congruences = 0
     for _ in range(rounds):
         places = random_places(rng)
         dim = rng.randint(1, 2)
         u_inf = Fraction(rng.randint(0, 3)) + Fraction(rng.randint(0, 1), 2)
         u_fin = {p: rng.randint(-1, 1) for p in places.primes}
-        got = set(enumerate_box(dim, places, u_inf, u_fin))
+        congruence = None
+        if rng.random() < 0.5:
+            N = rng.choice([N for N in (2, 3, 5, 7) if places.admissible_modulus(N)])
+            v = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, places.radical or 1])) for _ in range(dim))
+            congruence = (N, v)
+            congruences += 1
+        got = set(enumerate_box(dim, places, u_inf, u_fin, congruence))
         D = 1
         for p in places.primes:
             D *= p ** max(u_fin[p] + 1, 1)  # oversampled ambient denominator
@@ -124,11 +131,14 @@ def check_box_enumeration(rng: random.Random, rounds: int = 25):
                 if mv is not None and -mv > u_fin[p]:
                     ok = False
                     break
-            if ok:
+            if ok and (congruence is None or congruent_mod(q, v, N, places)):
                 expected.add(q)
         if got != expected:
-            return False, f"box mismatch places={places.primes} u_inf={u_inf} u_fin={u_fin}"
-    return True, f"{rounds} boxes"
+            return False, (
+                f"box mismatch places={places.primes} u_inf={u_inf} u_fin={u_fin} "
+                f"congruence={congruence}"
+            )
+    return True, f"{rounds} boxes, {congruences} with a congruence"
 
 
 def check_congruence_relation(rng: random.Random, rounds: int = 60):
@@ -587,10 +597,7 @@ def check_dirichlet(rng: random.Random, rounds: int = 20, unit_constants: bool =
             )
             constants = None
         pvec, qvec = dirichlet_solve(A, profile, places, constants)
-        consts = dict(default_dirichlet_constants(places, m))
-        if constants:
-            consts.update(constants)
-        verify_dirichlet(A, profile, places, consts, pvec, qvec)  # raises on failure
+        verify_dirichlet(A, profile, places, constants, pvec, qvec)  # raises on failure
     return True, f"{rounds} systems"
 
 

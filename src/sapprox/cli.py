@@ -25,11 +25,10 @@ from typing import Mapping, Sequence
 from .approx import ApproxCollection, integral_diverges, psi_one
 from .counting import (
     CountRequest,
+    InsufficientPrecision,
     count_solutions,
-    default_dirichlet_constants,
     dirichlet_solve,
     precision_needed,
-    verify_dirichlet,
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
@@ -190,10 +189,9 @@ class ExperimentConfig:
                 if consts is None
                 else tuple(
                     sorted(
-                        ((k if k == REAL_PLACE else int(k)), Fraction(v))
-                        for k, v in consts.items()
-                    ),
-                    key=str,
+                        ((k if k == REAL_PLACE else int(k), Fraction(v)) for k, v in consts.items()),
+                        key=lambda kv: str(kv[0]),
+                    )
                 )
             ),
             out=obj.get("out", "out"),
@@ -299,6 +297,7 @@ def _ladder_volumes(config: ExperimentConfig, profiles) -> list:
 
 def _run_samples(config: ExperimentConfig, profiles, volumes, jobs: int) -> list[RunRecord]:
     tasks = [(config, i, profiles, volumes) for i in range(config.sample_count)]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         import multiprocessing
 
@@ -474,12 +473,15 @@ def _run_dirichlet(config) -> RunResult:
         scfg = _sampler_config(config, i)
         A = sample_matrix(scfg)
         start = time.perf_counter()
-        pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
+        events = []
+        while True:  # dirichlet_solve verifies its pair before returning it
+            try:
+                pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
+                break
+            except InsufficientPrecision as exc:
+                events.append(f"deepen p={exc.place} K={exc.available}->{exc.needed}")
+                A = deepen(A, exc.place, exc.needed)
         elapsed = time.perf_counter() - start
-        consts = dict(default_dirichlet_constants(config.places, config.dims[0]))
-        if constants:
-            consts.update(constants)
-        verify_dirichlet(A, prof, config.places, consts, pvec, qvec)
         solved += 1
         records.append(
             RunRecord(
@@ -492,7 +494,7 @@ def _run_dirichlet(config) -> RunResult:
                 count=1,
                 ratio=1.0,
                 elapsed=elapsed,
-                events=(f"p={_vec(pvec)}", f"q={_vec(qvec)}"),
+                events=(*events, f"p={_vec(pvec)}", f"q={_vec(qvec)}"),
             )
         )
     summary = {
@@ -747,7 +749,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=["csv", "json", "svg", "all"],
             help="report format(s) to write",
         )
-        sp.add_argument("--jobs", type=int, default=1, help="parallel A-sample workers")
+        sp.add_argument("--jobs", type=int, default=1, help="parallel A-sample workers (>= 1)")
         if mode == "report":
             sp.add_argument("--records", help="records.json from a previous run")
     return parser
@@ -778,6 +780,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_T is not None and not (0 < args.max_T < math.inf):
         parser.error(f"--max-T must be a positive finite number, got {args.max_T}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.mode == "report":
         path = args.records or os.path.join(args.out or "out", "records.json")
         with open(path) as fh:

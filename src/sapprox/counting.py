@@ -61,6 +61,7 @@ from .sring import (
     derive_seed,
     enumerate_box,
     enumerate_box_raw,
+    lookup,
     min_valuation,
     padic_valuation,
     sup_norm,
@@ -146,16 +147,10 @@ class TruncatedMatrix:
         return len(self.real), len(self.real[0])
 
     def K(self, p: int) -> int:
-        for q, k in self.precision:
-            if q == p:
-                return k
-        raise KeyError(p)
+        return lookup(self.precision, p)
 
     def finite_rows(self, p: int) -> tuple[tuple[int, ...], ...]:
-        for q, mat in self.finite:
-            if q == p:
-                return mat
-        raise KeyError(p)
+        return lookup(self.finite, p)
 
     def finite_fraction(self, p: int, i: int, j: int) -> Fraction:
         """The representative of the p-adic entry, as an exact rational."""
@@ -523,11 +518,24 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
 # Dirichlet solver
 
 
-def default_dirichlet_constants(places: PlaceSet, m: int) -> dict:
-    """C_inf = 1 and C_p = p**m, the constants that always admit a solution."""
+def default_dirichlet_constants(places: PlaceSet, m: int, overrides: Mapping | None = None) -> dict:
+    """C_inf = 1 and C_p = p**m, the constants that always admit a solution,
+    with ``overrides`` merged in: C_inf >= 0 under the key ``REAL_PLACE``
+    and C_p > 0 under each prime of S."""
     out = {REAL_PLACE: Fraction(1)}
     for p in places.primes:
         out[p] = Fraction(p) ** m
+    for key, c in (overrides or {}).items():
+        if key not in out:
+            raise ValueError(
+                f"Dirichlet constant key {key!r} is neither {REAL_PLACE!r} nor a prime of S"
+            )
+        out[key] = Fraction(c)
+    if out[REAL_PLACE] < 0:
+        raise ValueError(f"Dirichlet constant C_inf must be >= 0, got {out[REAL_PLACE]}")
+    for p in places.primes:
+        if out[p] <= 0:
+            raise ValueError(f"Dirichlet constant C_{p} must be > 0, got {out[p]}")
     return out
 
 
@@ -541,8 +549,7 @@ def dirichlet_solve(
     """A nontrivial (p, q) with ||q||_p <= T_p and ||A_p q + p||_p^m <= C_p T_p^(-n)
     at every place.  The profile bounds the norms themselves here (not their
     n-th powers) and must have T_p >= 1.  ``constants`` overrides some of
-    the defaults: C_inf >= 0 under the key ``REAL_PLACE`` and C_p > 0 under
-    each prime of S.
+    the defaults (``default_dirichlet_constants``).
 
     The search scans q = a / Dq by increasing height, Dq = prod p**u_p with
     T_p = p**u_p, and picks each p_i = b_i / D in closed form, as the counter
@@ -556,21 +563,11 @@ def dirichlet_solve(
     m, n = matrix.shape
     if profile.t_inf < 1 or any(e < 0 for _, e in profile.fin_exp):
         raise ValueError("Dirichlet systems need T_p >= 1 at every place")
-    consts = default_dirichlet_constants(places, m)
-    for key, c in (constants or {}).items():
-        if key != REAL_PLACE and key not in places.primes:
-            raise ValueError(
-                f"Dirichlet constant key {key!r} is neither {REAL_PLACE!r} nor a prime of S"
-            )
-        consts[key] = Fraction(c)
-    if consts[REAL_PLACE] < 0:
-        raise ValueError(f"Dirichlet constant C_inf must be >= 0, got {consts[REAL_PLACE]}")
+    consts = default_dirichlet_constants(places, m, constants)
 
     Dq, D, M, fin = 1, 1, 1, []
     for p in places.primes:
         u, C = profile.exponent(p), consts[p]
-        if C <= 0:
-            raise ValueError(f"Dirichlet constant C_{p} must be > 0, got {C}")
         # smallest j with p^(-jm) <= C p^(-un)
         j = math.ceil((u * n - math.log(C) / math.log(p)) / m) - 2
         while Fraction(p) ** (u * n - j * m) > C:
@@ -632,23 +629,20 @@ def _by_height(dim: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 
 def _pick_in_ap(lo: int, hi: int, r: int, M: int) -> int | None:
-    """A deterministic element of the progression in [lo, hi], near zero."""
-    if lo > hi:
-        return None
-    x = r + M * ((0 - r) // M)  # largest element <= 0
-    for cand in (x, x + M):
-        if lo <= cand <= hi:
-            return cand
-    if x + M < lo:
-        cand = r + M * (-((-(lo - r)) // M))  # smallest element >= lo
-        return cand if cand <= hi else None
-    cand = r + M * ((hi - r) // M)  # largest element <= hi
-    return cand if cand >= lo else None
+    """The b = r (mod M) in [lo, hi] nearest zero: the largest <= min(hi, 0),
+    else the smallest >= lo; None if there is none."""
+    b = r + M * ((min(hi, 0) - r) // M)
+    if b >= lo:
+        return b
+    b = r - M * ((r - lo) // M)
+    return b if b <= hi else None
 
 
 def verify_dirichlet(matrix, profile, places, constants, pvec, qvec) -> None:
-    """Re-check a claimed Dirichlet solution against the defining inequalities."""
+    """Re-check a claimed Dirichlet solution against the defining inequalities;
+    ``constants`` overrides some of the defaults (``default_dirichlet_constants``)."""
     m, n = matrix.shape
+    constants = default_dirichlet_constants(places, m, constants)
     if not any(pvec) and not any(qvec):
         raise AssertionError("trivial pair")
     if any(qvec):
@@ -658,14 +652,13 @@ def verify_dirichlet(matrix, profile, places, constants, pvec, qvec) -> None:
             mv = min_valuation(qvec, p)
             if mv is not None and -mv > profile.exponent(p):
                 raise AssertionError(f"{p}-adic height bound violated")
-    v_real = Fraction(constants[REAL_PLACE]) / profile.t_inf**n
+    v_real = constants[REAL_PLACE] / profile.t_inf**n
     g = [sum(matrix.real[i][j] * qvec[j] for j in range(n)) + pvec[i] for i in range(m)]
     lhs = sup_norm(g) ** m if any(g) else Fraction(0)
     if lhs > v_real:
         raise AssertionError("real approximation inequality violated")
     for p in places.primes:
-        Cp = Fraction(constants[p])
-        bound = Cp * Fraction(p) ** (-profile.exponent(p) * n)
+        bound = constants[p] * Fraction(p) ** (-profile.exponent(p) * n)
         c = [
             sum(matrix.finite_fraction(p, i, j) * qvec[j] for j in range(n)) + pvec[i]
             for i in range(m)
@@ -780,10 +773,7 @@ class AffineLatticeSpec:
         return cls(gens, tuple(Fraction(c) for c in shift), dilation)
 
     def generator(self, place) -> tuple[tuple[Fraction, ...], ...]:
-        for pl, mat in self.generators:
-            if pl == place:
-                return mat
-        raise KeyError(place)
+        return lookup(self.generators, place)
 
 
 def embed_unipotent(matrix: TruncatedMatrix, places: PlaceSet) -> dict:
@@ -948,14 +938,7 @@ def x_region_volume_mc(
         fin_data.append((p ** (j + kappa), p ** (j + 2 * kappa + 1)))
     a = [int(D * c) for c in qvec]
     res = 2**53
-    t_real = sup_norm(qvec) ** n
-    trip = psi.real.value_triple(t_real.numerator, t_real.denominator)
-    if trip is not None:
-        vn, vd, w = trip
-        E = m * w
-        Ky = _kernel.introot((vn * (res * D) ** E) // vd, E)
-    else:
-        Ky = psi.real.max_root_leq(t_real, Fraction((res * D) ** m), m)
+    Ky = psi.real.max_root_leq(sup_norm(qvec) ** n, Fraction((res * D) ** m), m)
     cache = _CrtCache()
 
     rng = random.Random(derive_seed(seed, "xq"))

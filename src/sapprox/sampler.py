@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .approx import ApproxCollection, ConstantOne, FiniteApproxFunction, PowerLaw
 from .counting import CountRequest, TruncatedMatrix
-from .sring import NormProfile, PlaceSet, derive_seed
+from .sring import NormProfile, PlaceSet, derive_seed, lookup
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,7 @@ class SamplerConfig:
         return cls(seed, tuple(dims), places, tuple(sorted(precision.items())), real_resolution)
 
     def K(self, p: int) -> int:
-        for q, k in self.precision:
-            if q == p:
-                return k
-        raise KeyError(p)
+        return lookup(self.precision, p)
 
 
 def _finite_entry(config: SamplerConfig, p: int, i: int, j: int, depth: int) -> int:

@@ -100,6 +100,14 @@ class PlaceSet:
         return N >= 1 and math.gcd(N, self.radical) == 1
 
 
+def lookup(pairs: Sequence[tuple], key):
+    """The value paired with ``key`` in a sequence of (key, value) pairs."""
+    for k, v in pairs:
+        if k == key:
+            return v
+    raise KeyError(key)
+
+
 def padic_valuation(x: Fraction | int, p: int) -> int | float:
     """v_p(x): the exponent v with x = p**v * (u/w), p dividing neither u nor w.
 
@@ -206,10 +214,7 @@ class NormProfile:
         return cls(Fraction(t_inf), tuple(sorted(exponents.items())))
 
     def exponent(self, p: int) -> int:
-        for q, e in self.fin_exp:
-            if q == p:
-                return e
-        raise KeyError(p)
+        return lookup(self.fin_exp, p)
 
     def finite_value(self, p: int) -> Fraction:
         return Fraction(p) ** self.exponent(p)
@@ -281,7 +286,7 @@ def _box_progressions(
             # a_j/D = v_j (mod N)  <=>  a_j = D * v_j.num * v_j.den^{-1} (mod N)
             rj = D * vj.numerator * pow(vj.denominator, -1, N) % N if N > 1 else 0
             # merge with a_j = 0 (mod step); the moduli are coprime
-            new.append(_crt2(0, step, rj, N))
+            new.append(step * (rj * pow(step, -1, N) % N))
         residues = new
     return D, B, modulus, residues
 
@@ -326,16 +331,6 @@ def box_size(
     axis."""
     _, B, modulus, residues = _box_progressions(dim, places, u_inf, u_fin, congruence, u_inf_root)
     return math.prod((B - rho) // modulus - (-B - 1 - rho) // modulus for rho in residues)
-
-
-def _crt2(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Chinese remainder for two coprime moduli."""
-    if m1 == 1:
-        return r2 % m2
-    if m2 == 1:
-        return r1 % m1
-    m = m1 * m2
-    return (r1 * m2 * pow(m2, -1, m1) + r2 * m1 * pow(m1, -1, m2)) % m
 
 
 def enumerate_box(

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from . import _kernel
 from .approx import ApproxCollection
-from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, min_valuation, sup_norm
+from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, lookup, min_valuation, sup_norm
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,7 @@ class VolumeResult:
         """vol(E_{psi_p}(T_p)); the real place carries the 2**m x-ball factor."""
         if place == REAL_PLACE:
             return Fraction(2) ** self.m * self.real_factor
-        for p, f in self.finite_factors:
-            if p == place:
-                return f
-        raise KeyError(place)
+        return lookup(self.finite_factors, place)
 
     def identity_holds(self) -> bool:
         """total == 2**m * real_factor * prod(finite factors), re-multiplied."""

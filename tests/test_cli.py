@@ -23,9 +23,9 @@ from sapprox.cli import (
     result_from_json,
     run,
 )
-from sapprox.counting import CountRequest, count_solutions_bruteforce
+from sapprox.counting import CountRequest, count_solutions_bruteforce, dirichlet_solve
 from sapprox.sampler import SamplerConfig, deepen, sample_matrix
-from sapprox.sring import PlaceSet
+from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
 
 
 def small_asymptotic(seed=20260810, samples=3, steps=4):
@@ -79,6 +79,20 @@ class TestConfig:
         )
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
+    def test_dirichlet_constants_round_trip_and_run(self, tmp_path):
+        cfg = dataclasses.replace(
+            default_config("dirichlet"),
+            sample_count=3,
+            dirichlet_constants=((2, Fraction(1)), (REAL_PLACE, Fraction(1, 2))),
+        )
+        assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        assert main(["dirichlet", "--config", str(path), "--out", str(tmp_path)]) == 0
+        blob = json.loads((tmp_path / "records.json").read_text())
+        assert blob["config"]["dirichlet_constants"] == {"2": "1", "inf": "1/2"}
+        assert blob["summary"]["solved_and_verified"] == 3
+
     def test_asymptotic_requires_divergent_integral(self):
         S = PlaceSet((2,))
         convergent = ApproxCollection.of(
@@ -114,10 +128,12 @@ class TestConfig:
         [
             (["asymptotic", "--samples", "0"], "sample_count must be >= 1, got 0"),
             (["dichotomy", "--max-T", "5"], "dichotomy mode needs at least four ladder steps"),
+            (["count", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["count", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
         ],
     )
     def test_config_error_is_a_usage_error(self, argv, message, capsys):
-        # one from load_config, one from run
+        # one from load_config, one from run, two from main
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -194,6 +210,34 @@ class TestRunAndReports:
         par = run(cfg, jobs=2)
         assert records_to_csv(cfg, seq.records) == records_to_csv(cfg, par.records)
 
+    def test_pool_is_no_larger_than_the_sample_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cfg = small_asymptotic(samples=3, steps=2)
+        par = run(cfg, jobs=8)
+        assert sizes == [3]
+        assert records_to_csv(cfg, par.records) == records_to_csv(cfg, run(cfg).records)
+        run(dataclasses.replace(cfg, sample_count=1), jobs=8)
+        assert sizes == [3]  # a single sample runs in this process
+
     def test_campaign_deepens_once_before_counting(self):
         # z_k = 3k needs K_2 >= z_3 + 3 = 12 at the last step (T_2 = 2**3);
         # the sampler gives 2 digits, so step 0 deepens once, to 12
@@ -238,6 +282,31 @@ class TestRunAndReports:
         res = run(cfg)
         assert res.summary["solved_and_verified"] == 5
         assert res.exit_code == 0
+
+    def test_dirichlet_mode_deepens_a_short_matrix(self):
+        # T_2 = 2**3 needs more 2-adic digits than the one the sampler gives
+        base = default_config("dirichlet")
+        cfg = dataclasses.replace(
+            base,
+            sample_count=3,
+            precision=((2, 1),),
+            schedule=dataclasses.replace(base.schedule, finite_start=((2, 3),)),
+        )
+        res = run(cfg)
+        assert res.exit_code == 0
+        prof = NormProfile.of(cfg.schedule.real_start, {2: 3})
+        for rec in res.records:
+            *deepens, p_event, q_event = rec.events
+            assert deepens
+            K = 1
+            for event in deepens:
+                k_from, k_to = re.fullmatch(r"deepen p=2 K=(\d+)->(\d+)", event).groups()
+                assert int(k_from) == K < int(k_to)
+                K = int(k_to)
+            # the same pair as a matrix sampled deep enough from the start
+            deep = sample_matrix(SamplerConfig.of(rec.seed, cfg.dims, cfg.places, {2: 16}, 2**64))
+            pvec, qvec = dirichlet_solve(deep, prof, cfg.places)
+            assert p_event == f"p=({pvec[0]})" and q_event == f"q=({qvec[0]})"
 
 
 class TestMainEntry:

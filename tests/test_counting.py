@@ -323,6 +323,15 @@ class TestBruteForceBudget:
         assert count_solutions_bruteforce(req, budget=cost) == count_solutions(req)
 
 
+BAD_CONSTANTS = [
+    ({2: Fraction(0)}, "C_2 must be > 0"),
+    ({2: Fraction(-1, 2)}, "C_2 must be > 0"),
+    ({REAL_PLACE: Fraction(-1)}, "C_inf must be >= 0"),
+    ({7: Fraction(1)}, "key 7 is neither 'inf' nor a prime of S"),
+    ({"2": Fraction(1)}, "key '2' is neither 'inf' nor a prime of S"),
+]
+
+
 class TestDirichlet:
     def test_zero_matrix_has_unit_solution(self):
         A = zero_matrix(1, 2, S2)
@@ -349,28 +358,27 @@ class TestDirichlet:
             prof = NormProfile.of(Fraction(rng.randint(1, 5)), {2: m * rng.randint(1, 2)})
             constants = {REAL_PLACE: Fraction(1), 2: Fraction(1)}
             pvec, qvec = dirichlet_solve(A, prof, S2, constants)
-            consts = default_dirichlet_constants(S2, m)
-            consts.update(constants)
-            verify_dirichlet(A, prof, S2, consts, pvec, qvec)
+            verify_dirichlet(A, prof, S2, constants, pvec, qvec)
 
     def test_rejects_sub_unit_profile(self):
         with pytest.raises(ValueError):
             dirichlet_solve(zero_matrix(1, 1, S2), NormProfile.of(Fraction(1, 2), {2: 1}), S2)
 
-    @pytest.mark.parametrize(
-        "constants, message",
-        [
-            ({2: Fraction(0)}, "C_2 must be > 0"),
-            ({2: Fraction(-1, 2)}, "C_2 must be > 0"),
-            ({REAL_PLACE: Fraction(-1)}, "C_inf must be >= 0"),
-            ({7: Fraction(1)}, "key 7 is neither 'inf' nor a prime of S"),
-            ({"2": Fraction(1)}, "key '2' is neither 'inf' nor a prime of S"),
-        ],
-    )
+    @pytest.mark.parametrize("constants, message", BAD_CONSTANTS)
     def test_rejects_bad_constants(self, constants, message):
         A = TruncatedMatrix.of([[Fraction(1, 3)]], {2: [[1]]}, {2: 10})
         with pytest.raises(ValueError, match=message):
             dirichlet_solve(A, NormProfile.of(Fraction(3), {2: 1}), S2, constants)
+
+    @pytest.mark.parametrize("constants, message", BAD_CONSTANTS)
+    def test_verify_rejects_bad_constants(self, constants, message):
+        # verify_dirichlet merges its constants through the solver's checks;
+        # (p, q) = (0, 1) solves this system under the default constants
+        A = zero_matrix(1, 1, S2)
+        prof = NormProfile.of(Fraction(3), {2: 1})
+        verify_dirichlet(A, prof, S2, None, (Fraction(0),), (Fraction(1),))
+        with pytest.raises(ValueError, match=message):
+            verify_dirichlet(A, prof, S2, constants, (Fraction(0),), (Fraction(1),))
 
     def test_zero_real_constant_asks_for_an_exact_pair(self):
         # C_inf = 0 asks for A q + p = 0 at the real place
@@ -379,7 +387,7 @@ class TestDirichlet:
         constants = {REAL_PLACE: Fraction(0)}
         pvec, qvec = dirichlet_solve(A, prof, S2, constants)
         assert Fraction(1, 3) * qvec[0] + pvec[0] == 0
-        verify_dirichlet(A, prof, S2, {**default_dirichlet_constants(S2, 1), **constants}, pvec, qvec)
+        verify_dirichlet(A, prof, S2, constants, pvec, qvec)
 
 
 class TestRescale:
