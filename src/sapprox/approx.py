@@ -30,6 +30,9 @@ integral asks the same methods for ``math.inf``, where a divergent integral
 returns ``math.inf``.  A real kind returns (value, absolute error bound),
 exact Fractions where a closed form exists; a finite place's shell sum is
 always an exact Fraction.
+
+mpmath is imported inside the functions that use it, so a run whose psi
+has closed forms never pays for loading it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
-
-import mpmath
 
 from . import _kernel
 from .sring import PlaceSet, _is_prime, lookup
@@ -67,6 +68,8 @@ class RootVal:
     root: int
 
     def __float__(self) -> float:
+        import mpmath
+
         return float(mpmath.root(mpmath.mpf(self.num) / self.den, self.root))
 
 
@@ -96,18 +99,24 @@ def _exact_pow(x: Fraction, q: Fraction) -> Fraction | None:
 
 
 def _to_mpf(x) -> mpmath.mpf:
+    import mpmath
+
     x = Fraction(x)
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 def _root_mpf(c: Fraction, a: Fraction) -> mpmath.mpf:
     """c ** (1/a) at the current working precision."""
+    import mpmath
+
     return mpmath.exp(mpmath.log(_to_mpf(c)) / _to_mpf(a))
 
 
 def _mpf_with_error(expr) -> tuple[float, float]:
     """Evaluate a closed-form positive expression at high precision and
     report it with a generous absolute error bound."""
+    import mpmath
+
     with mpmath.workdps(40):
         v = expr()
         err = abs(v) * mpmath.mpf("1e-30") + mpmath.mpf("1e-30")
@@ -262,6 +271,8 @@ class PowerLaw(RealApproxFunction):
         if self.a == 1:
 
             def log_expr():
+                import mpmath
+
                 r = _to_mpf(r0) if r0 is not None else _root_mpf(self.c, self.a)
                 return r + _to_mpf(self.c) * mpmath.log(_to_mpf(T) / r)
 
@@ -383,6 +394,8 @@ class LogLaw(RealApproxFunction):
 
     def _g_interval(self, t: Fraction, prec: int):
         """Rigorous enclosure of c / (t * ln(t)**b) for t > 1."""
+        import mpmath
+
         iv = mpmath.iv
         old = iv.prec
         try:
@@ -399,6 +412,8 @@ class LogLaw(RealApproxFunction):
         the enclosures g = ``_g_interval(t, prec)`` at escalating precision;
         ``decide`` runs at the precision of its g.  Raises
         UndecidedComparison(tie) when no precision decides."""
+        import mpmath
+
         iv = mpmath.iv
         for prec in (64, 128, 512, 2048):
             old = iv.prec
@@ -417,6 +432,7 @@ class LogLaw(RealApproxFunction):
             return False
         if t <= 1 or self.b == 0:
             return super().leq_value(lhs, t)
+        import mpmath
 
         def decide(g):
             d = g - mpmath.iv.mpf(lhs.numerator) / mpmath.iv.mpf(lhs.denominator)
@@ -428,6 +444,7 @@ class LogLaw(RealApproxFunction):
         t, mult = Fraction(t), Fraction(mult)
         if t <= 1 or self.b == 0:
             return super().max_root_leq(t, mult, e)
+        import mpmath
 
         def decide(g):
             if g.a >= 1:
@@ -493,6 +510,8 @@ class LogLaw(RealApproxFunction):
             T = Fraction(T)
             if T <= 1 or self.leq_value(Fraction(1), T):
                 return T, Fraction(0)  # entirely on the plateau
+        import mpmath
+
         lo, hi = self._crossover
         with mpmath.workdps(30):
             c, b = _to_mpf(self.c), _to_mpf(self.b)

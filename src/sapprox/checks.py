@@ -12,8 +12,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
-
 from .approx import (
     FiniteApproxFunction,
     LogLaw,
@@ -270,6 +268,8 @@ def check_loglaw_filter(rng: random.Random, rounds: int = 200, ties: int = 30):
     g*mult within 1e-12 relative of some k**e, must take the fallback and
     still give the exact answer.  The detail reports how many decisions the
     filter made and how many fell back."""
+    import mpmath
+
     tally = {True: 0, False: 0}  # decided by the filter or not
     intervals = [0]
 

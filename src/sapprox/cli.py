@@ -27,6 +27,7 @@ from .counting import (
     CountRequest,
     InsufficientPrecision,
     count_solutions,
+    default_dirichlet_constants,
     dirichlet_solve,
     precision_needed,
 )
@@ -117,6 +118,11 @@ class ExperimentConfig:
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
         self.psi.check_places(self.places)
+        if self.dirichlet_constants is not None:
+            try:
+                default_dirichlet_constants(self.places, self.dims[0], dict(self.dirichlet_constants))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def to_json(self) -> dict:
         return {

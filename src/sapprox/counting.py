@@ -20,14 +20,19 @@ coordinate, b_i = -(D / Dq) (Atil a)_i (mod M) for q = a / Dq, with Atil
 the CRT of the representative rows (``_crt_rows``) and M = prod
 p**(j_p + v_p(D)).
 
-- The counter enumerates q = a / Dq over the adelic box, Dq = prod p**dq_p
+- The counter visits q = a / Dq over the adelic box, Dq = prod p**dq_p
   the box denominator, takes D = Dq, and folds b_i = Dq * v_i (mod N) in.
   M depends on q only through its valuation shell, min(v_p(a), cap_p) at
-  each p, which gcd(P, *a) names in one call; each shell's modulus, CRT
-  idempotents and entry step are built once, the first time it is seen.
-  The real-place window is resolved by the closed-form
-  arithmetic-progression counter, so the cost per q is independent of the
-  size of the real box.  The count at q does not depend on the profile, so
+  each p, which gcd(P, *a) names; each shell's modulus, CRT idempotents and
+  entry step are built once.  With real rows A_i / R, G = R*M*N and z =
+  A_i a + R*b_i reduced mod G, row i holds (Ky - z) // G + (Ky + z) // G + 1
+  of the b_i, Ky the real threshold.  z is linear in a, and where Ky is
+  constant, Ky = k G + rho, the count is 2k + 1 - (z > rho) + (z >= G - rho).
+  The counter enumerates the outer n - 1 axes and walks the last one shell
+  by shell: a shell is phi(U) arithmetic progressions of step g*U*N (g the
+  shell's gcd, U the primes below their cap), each cut where a ladder
+  step's real bound ends, and along a progression every row's z moves by
+  one addition mod G.  The count at q does not depend on the profile, so
   one pass over the largest box of a nested ladder counts every step of
   it, and the q -> -q symmetry halves the pass when the congruence allows.
 - The Dirichlet solver scans q = a / Dq by height and takes D = prod
@@ -43,6 +48,7 @@ inequalities and serves as the oracle for the fast path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -303,26 +309,28 @@ def count_solutions(
     box: the per-q count c(q) does not depend on the profile, so each q adds
     c(q) to the bucket of the first step whose box holds it, and the counts
     are the prefix sums of the buckets.  When ``is_symmetric(req)``, the pass
-    skips each q whose first nonzero coordinate is negative and counts every
-    other nonzero q twice.
+    walks only the q whose first nonzero coordinate is positive, counted
+    twice, and q = 0 once.
     """
     m, n = req.dims
     S = req.places
     N = req.modulus
     real_fn = req.psi.real
     profiles = _check_ladder(req, ladder)
-
-    u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
-    box = (n, S, req.profile.t_inf, u_fin, (N, req.v_n) if N > 1 else None, n)
-    Dq, reps = enumerate_box_raw(*box)
     symmetric = is_symmetric(req)
-    if symmetric:
-        # a -> -a reverses the lexicographic order of a symmetric box, so its
-        # first half is exactly the a whose first nonzero coordinate is < 0
-        reps = itertools.islice(reps, box_size(*box) // 2, None)
+
+    # The outer n - 1 axes run lexicographically; the walk covers the last
+    # one.  With n = 1 the box call only fixes Dq, and the one outer point
+    # is ().
+    u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
+    outer_dim = max(n - 1, 1)
+    cong = (N, req.v_n[:outer_dim]) if N > 1 else None
+    Dq, outer = enumerate_box_raw(outer_dim, S, req.profile.t_inf, u_fin, cong, n)
+    if n == 1:
+        outer = [()]
 
     # With real rows A_i / R, p_i = b_i / Dq lies in the real window iff
-    # |A_i a + R b_i| <= psi**(1/m) * gd
+    # |A_i a + R b_i| <= Ky, with Ky = floor(psi**(1/m) * gd)
     R, Areal = _real_row_data(req.matrix)
     gd = R * Dq
     Dqn = Dq**n
@@ -331,13 +339,15 @@ def count_solutions(
         _kernel.introot((Dqn * prof.t_inf.numerator) // prof.t_inf.denominator, n)
         for prof in profiles
     ]
+    B = real_bounds[-1]
 
     # At p the ball around -A_p q is b = -A_p a (mod p**(j + dq)).  p**v
     # dividing a makes Atil a = A_p a mod p**(K + v), which covers
     # p**(j + dq) whenever the precision check j + kappa <= K passes.  j,
     # kappa and the entry step depend on a only through min(v_p(a), cap_p):
     # beyond cap_p, kappa <= min(u_0, 0), so j = 0 and the entry step is 0.
-    # gcd(P, *a) names every capped valuation at once.
+    # gcd(P, *a) names every capped valuation at once.  Every a of the box
+    # has v_p(a) >= low_p, the exponent of the box step at p.
     Atil = _crt_rows(req.matrix)
     fin, P = [], 1
     for p in S.primes:
@@ -346,75 +356,181 @@ def count_solutions(
         # q lies in step i's box at p iff kappa <= u_i, and kappa <= dq
         u_steps = [prof.exponent(p) // n for prof in profiles]
         z_table = tuple(req.psi.finite_fn(p).z_at_block(k) for k in range(dq + 1))
-        fin.append((p, K, dq, z_table, u_steps))
+        fin.append((p, K, dq, z_table, u_steps, max(-u_fin[p], 0)))
         P *= p ** (dq - min(u_steps[0], 0))
-    # b_i = Dq * v_i (mod N), with the S-supported denominator of v_i inverted
-    vm_res = [Dq * v.numerator * pow(v.denominator, -1, N) % N for v in req.v_m]
+    # b_i = Dq * v_i and a_n = Dq * v_n (mod N), with the S-supported
+    # denominators inverted
+    v_res = [Dq * v.numerator * pow(v.denominator, -1, N) % N for v in req.shift]
 
     def shell(g):
-        """(M*N, rows, finite entry step) for the a with gcd(P, *a) = g.
-        M = prod p**(j + dq), and each row (real numerators, W_i, c_i) gives
-        the congruence b_i = c_i + W_i a (mod M*N) of its coordinate."""
+        """(G, rows, finite entry step) for the a with gcd(P, *a) = g, or the
+        InsufficientPrecision those a raise.  G = R*M*N, M = prod
+        p**(j + dq).  The fibre count of row i is the number of b_i = c_i +
+        W_i a (mod M*N) in the real window, and with z = A_i a + R*b_i
+        reduced mod G it is (Ky - z) // G + (Ky + z) // G + 1.  z is linear
+        in a: row i is (L_i, z0_i) with z = z0_i + L_i a (mod G)."""
         M, step = 1, 0
-        for p, K, dq, z_table, u_steps in fin:
+        for p, K, dq, z_table, u_steps, _ in fin:
             kappa = dq - _kernel.valuation(g, p)
             j = z_table[kappa] if kappa > 0 else 0
             if j + max(kappa, 0) > K:
-                raise InsufficientPrecision(p, j + max(kappa, 0), K)
+                return InsufficientPrecision(p, j + max(kappa, 0), K)
             M *= p ** (j + dq)
             step = max(step, bisect_left(u_steps, kappa))
         MN = M * N
+        G = R * MN
         eM = N * pow(N, -1, M) % MN  # 1 mod M, 0 mod N
-        W = [[-x * eM % MN for x in row] for row in Atil]
-        return MN, tuple(zip(Areal, W, [y * (1 - eM) % MN for y in vm_res])), step
+        rows = [
+            ([(x - R * y * eM) % G for x, y in zip(Ai, Ti)], R * (c * (1 - eM) % MN))
+            for Ai, Ti, c in zip(Areal, Atil, v_res)
+        ]
+        return G, rows, step
 
-    def fibre_count(Ky, a, MN, rows):
-        """The number of p over q = a / Dq at the real threshold Ky."""
-        count = 1
-        for Ai, Wi, ci in rows:
-            gn = r = 0
-            for x, y, aj in zip(Ai, Wi, a):
-                gn += x * aj
-                r += y * aj
-            k = _kernel.count_in_ap_int(-((Ky + gn) // R), (Ky - gn) // R, (ci + r) % MN, MN)
-            if k == 0:
-                return 0
-            count *= k
-        return count
+    def progressions(Gp):
+        """The a_n of the box under an outer gcd Gp = gcd(P, *outer), by
+        shell, as two lists of (shell, D, residues): the shells that count
+        and the shells that raise.  The shell g = gcd(Gp, a_n) holds the
+        a_n = g*t with t prime to every p whose exponent in g is below its
+        exponent in Gp (U is their product) and g*t = a_n (mod N): phi(U)
+        residues modulo D = g*U*N."""
+        choices = []
+        for p, *_, low in fin:
+            top = _kernel.valuation(Gp, p)
+            choices.append([(p**k, p if k < top else 1) for k in range(low, top + 1)])
+        live, failing = [], []
+        for choice in itertools.product(*choices):
+            g = math.prod(x for x, _ in choice)
+            U = math.prod(u for _, u in choice)
+            sh = shells.get(g)
+            if sh is None:
+                sh = shells[g] = shell(g)
+            tN, inv = v_res[-1] * pow(g, -1, N) % N, pow(U, -1, N)
+            residues = [g * (u + U * ((tN - u) * inv % N)) for u in range(U) if math.gcd(u, U) == 1]
+            failed = isinstance(sh, InsufficientPrecision)
+            (failing if failed else live).append((sh, g * U * N, residues))
+        return live, failing
 
-    shells = {}
-    zero = (0,) * n
-    buckets = [0] * len(profiles)
-    for a in reps:
-        g = math.gcd(P, *a)
-        sh = shells.get(g)
-        if sh is None:
-            sh = shells[g] = shell(g)
-        MN, rows, step = sh
-        amax = max(map(abs, a))
+    def segments(mo, half):
+        """[(lo, hi, real step, weight)] covering the a_n of [-B, B], or of
+        [0, B] when ``half``.  The sup norm of a is max(mo, |a_n|), mo =
+        max|outer|, so each piece has one real step: the central piece
+        |a_n| <= mo, and each run of |a_n| between two real bounds."""
+        weight = 2 if symmetric else 1
+        out = [(0 if half else -mo, mo, bisect_left(real_bounds, mo), 1 if half else weight)]
+        lo = mo + 1
+        for i, Bi in enumerate(real_bounds):
+            if Bi >= lo:
+                out.append((lo, Bi, i, weight))
+                if not half:
+                    out.append((-Bi, -lo, i, weight))
+                lo = Bi + 1
+        return out
+
+    def threshold(amax):
+        """(k_lo, k_hi) around Ky at sup norm amax: Ky twice where psi has an
+        exact value, else the float bracket of ``root_bracket``."""
         trip = real_fn.value_triple(amax**n, Dqn)
-        if trip is not None:
-            vn, vd, w = trip
-            if vn == vd:
-                Ky = gd
-            else:
-                E = m * w
-                Ky = _kernel.introot((vn * gd**E) // vd, E)
-            count_q = fibre_count(Ky, a, MN, rows)
-        else:
-            # The fibre count never falls as Ky grows: every window
-            # [-(Ky + gn) // R, (Ky - gn) // R] widens with Ky.  So a zero
-            # count at k_hi is zero at the exact threshold, and equal counts
-            # at k_lo and k_hi are the count there.
-            t_real, mult = Fraction(amax**n, Dqn), Fraction(gd**m)
-            k_lo, k_hi = real_fn.root_bracket(t_real, mult, m)
-            count_q = fibre_count(k_hi, a, MN, rows)
-            if count_q and k_lo != k_hi and fibre_count(k_lo, a, MN, rows) != count_q:
-                Ky = real_fn.max_root_leq(t_real, mult, m)
-                count_q = fibre_count(Ky, a, MN, rows)
-        if count_q:
-            step = max(step, bisect_left(real_bounds, amax))
-            buckets[step] += count_q if a == zero or not symmetric else 2 * count_q
+        if trip is None:
+            return real_fn.root_bracket(Fraction(amax**n, Dqn), Fraction(gd**m), m)
+        vn, vd, w = trip
+        if vn == vd:
+            return gd, gd
+        E = m * w
+        Ky = _kernel.introot((vn * gd**E) // vd, E)
+        return Ky, Ky
+
+    def exact_threshold(amax):
+        return real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m)
+
+    if n > 1:
+        # every outer point revisits the same |a_n|, at most B + 1 values.
+        # With n = 1 each |a| comes at most twice, and a cache would hold a
+        # value per q of the box.
+        threshold, exact_threshold = map(functools.cache, (threshold, exact_threshold))
+
+    def walk(zs, ds, G, a, D, count, mo):
+        """The summed fibre counts of a, a + D, ..., a + (count - 1) D.  zs
+        holds each row's z at a - D, and every step carries it forward by
+        one addition mod G."""
+        total = 0
+        k_lo, Ky = threshold(max(mo, abs(a)))
+        if k_lo == Ky and threshold(max(mo, abs(a + (count - 1) * D))) == (Ky, Ky):
+            # psi never rises, so Ky is constant between equal ends.  With
+            # Ky = k G + rho each row counts 2k + 1 - (z > rho) + (z >= G - rho)
+            k, rho = divmod(Ky, G)
+            base, top = 2 * k + 1, G - rho
+            for s in range(0, count, 4096):
+                prod = [1] * min(4096, count - s)
+                for i, d in enumerate(ds):
+                    z, back = zs[i], G - d
+                    prod = [
+                        c * (base - ((z := z + d if z < back else z - back) > rho) + (z >= top))
+                        for c in prod
+                    ]
+                    zs[i] = z
+                total += sum(prod)
+            return total
+
+        def fibre(Ky):
+            c = 1
+            for z in zs:
+                c *= (Ky - z) // G + (Ky + z) // G + 1
+                if not c:
+                    break
+            return c
+
+        for _ in range(count):
+            for i, d in enumerate(ds):
+                z = zs[i] + d
+                zs[i] = z - G if z >= G else z
+            # The fibre count never falls as Ky grows: every window widens
+            # with Ky.  So a zero count at k_hi is zero at the exact
+            # threshold, and equal counts at k_lo and k_hi are the count there.
+            amax = max(mo, abs(a))
+            k_lo, k_hi = threshold(amax)
+            c = fibre(k_hi)
+            if c and k_lo != k_hi and fibre(k_lo) != c:
+                c = fibre(exact_threshold(amax))
+            total += c
+            a += D
+        return total
+
+    shells, inner = {}, {}
+    zero = (0,) * (n - 1)
+    buckets = [0] * len(profiles)
+    for ap in outer:
+        if symmetric and ap < zero:  # the first nonzero coordinate is < 0
+            continue
+        half = symmetric and ap == zero
+        Gp = math.gcd(P, *ap)
+        prog = inner.get(Gp)
+        if prog is None:
+            prog = inner[Gp] = progressions(Gp)
+        live, failing = prog
+        if failing:
+            # Raise as a lexicographic pass would: for the failing shell
+            # whose first a_n in the box comes first.  A failing shell with
+            # no a_n in the box counts nothing.
+            lo_n = 0 if half else -B
+            first, exc = min(
+                (min(lo_n + (r - lo_n) % D for r in residues), exc) for exc, D, residues in failing
+            )
+            if first <= B:
+                raise exc
+        mo = max(map(abs, ap), default=0)
+        segs = segments(mo, half)
+        for (G, rows, step), D, residues in live:
+            zb = [(z0 + sum(x * y for x, y in zip(Li, ap))) % G for Li, z0 in rows]
+            ln = [Li[-1] for Li, _ in rows]
+            ds = [x * D % G for x in ln]
+            for r in residues:
+                for lo, hi, real_step, weight in segs:
+                    a = lo + (r - lo) % D
+                    if a > hi:
+                        continue
+                    zs = [(z + x * (a - D)) % G for z, x in zip(zb, ln)]
+                    total = walk(zs, ds, G, a, D, (hi - a) // D + 1, mo)
+                    buckets[max(step, real_step)] += weight * total
     counts = list(itertools.accumulate(buckets))
     return counts if ladder is not None else counts[0]
 

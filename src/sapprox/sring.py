@@ -8,8 +8,7 @@ vectors over them by tuples of Fractions.
 
 The module provides p-adic valuations and per-place norms, the congruence
 relation modulo N coprime to S, deterministic enumeration of the S-integer
-points of adelic boxes, and the closed-form arithmetic-progression counter
-that the solution counter builds on.
+points of adelic boxes, and the closed-form arithmetic-progression counter.
 """
 
 from __future__ import annotations

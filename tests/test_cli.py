@@ -4,10 +4,14 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sapprox
 from sapprox.approx import ApproxCollection, FiniteApproxFunction, PowerLaw, psi_one
 from sapprox.cli import (
     ConfigError,
@@ -92,6 +96,27 @@ class TestConfig:
         blob = json.loads((tmp_path / "records.json").read_text())
         assert blob["config"]["dirichlet_constants"] == {"2": "1", "inf": "1/2"}
         assert blob["summary"]["solved_and_verified"] == 3
+
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"7": "1"}, "Dirichlet constant key 7 is neither 'inf' nor a prime of S"),
+            ({"2": "0"}, "Dirichlet constant C_2 must be > 0, got 0"),
+            ({"inf": "-1"}, "Dirichlet constant C_inf must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_dirichlet_constants_fail_at_load(self, constants, message, tmp_path, monkeypatch, capsys):
+        obj = default_config("dirichlet").to_json()
+        obj["dirichlet_constants"] = constants
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_json(obj)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr("sapprox.cli.run", lambda *a, **k: pytest.fail("bad constants reached run"))
+        with pytest.raises(SystemExit) as exc:
+            main(["dirichlet", "--config", str(path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_asymptotic_requires_divergent_integral(self):
         S = PlaceSet((2,))
@@ -376,3 +401,25 @@ class TestMainEntry:
         res = run(default_config("verify"))
         assert res.exit_code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_an_exact_psi_count_never_imports_mpmath():
+    # mpmath is imported only where a numeric-only kind needs it
+    script = """
+import sys
+from fractions import Fraction
+import sapprox.cli
+from sapprox.approx import psi_one
+from sapprox.counting import CountRequest, count_solutions
+from sapprox.sampler import SamplerConfig, sample_matrix
+from sapprox.sring import NormProfile, PlaceSet
+S = PlaceSet((2,))
+A = sample_matrix(SamplerConfig.of(5, (2, 1), S, {2: 24}))
+req = CountRequest(S, A, psi_one(S, 2, 1), NormProfile.of(Fraction(16), {2: 3}))
+assert count_solutions(req) > 0
+print("mpmath" in sys.modules)
+"""
+    src = str(Path(sapprox.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,11 +3,12 @@ rescaling, discrepancy, and the combinatorial bounds."""
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sapprox.approx import (
@@ -42,6 +43,7 @@ from sapprox.counting import (
     discrepancy,
     embed_unipotent,
     is_symmetric,
+    precision_needed,
     profile_count_bound,
     rescale_congruence,
     verify_dirichlet,
@@ -287,8 +289,9 @@ class TestLadder:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_symmetric_box_starts_with_its_negative_half(self, seed):
-        # the symmetric pass skips the first box_size // 2 representatives:
-        # they must be exactly the a whose first nonzero coordinate is < 0
+        # the symmetric pass skips the a whose first nonzero coordinate is
+        # < 0: they are the first half of the box, and a -> -a maps the box
+        # onto itself
         rng = random.Random(seed)
         req = random_request(rng)
         m, n = req.dims
@@ -302,6 +305,72 @@ class TestLadder:
         assert len(reps) == box_size(*box)
         assert reps[: len(reps) // 2] == [a for a in reps if a < (0,) * n]
         assert reps == [tuple(-x for x in a) for a in reversed(reps)]
+
+
+@st.composite
+def walk_ladders(draw):
+    """A nested ladder of 1-3 small boxes and a request at its last step, on
+    a matrix deep enough never to raise.  It covers n = 1, 2 and 3, negative
+    finite exponents, N > 1 with symmetric and asymmetric shifts, and
+    constant, power-law and log-law (b = 0 and b > 0) real parts."""
+    places = PlaceSet(draw(st.sampled_from([(), (2,), (3,), (2, 3)])))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3 if n == 1 else 2))
+    real = draw(
+        st.sampled_from(
+            [
+                ConstantOne(),
+                PowerLaw(Fraction(2), Fraction(1)),
+                PowerLaw(Fraction(1), Fraction(1, 2)),
+                LogLaw(Fraction(3), Fraction(0)),
+                LogLaw(Fraction(5, 2), Fraction(1)),
+                LogLaw(Fraction(4), Fraction(2)),
+            ]
+        )
+    )
+    fin = {}
+    for p in places.primes:
+        head = tuple(sorted(draw(st.lists(st.integers(0, 2), max_size=2))))
+        tail = draw(st.sampled_from([("constant",), ("linear", 1, max(head, default=0))]))
+        fin[p] = FiniteApproxFunction(p, m, n, head, tail)
+    psi = ApproxCollection.of(real, fin, m, n)
+    N = draw(st.sampled_from([N for N in (1, 2, 3, 5) if places.admissible_modulus(N)]))
+    dens = [1, *places.primes]
+    shift = draw(
+        st.one_of(
+            st.just(()),  # the zero shift: symmetric
+            st.lists(st.sampled_from([0, N // 2 if N == 2 else 0]), min_size=m + n, max_size=m + n),
+            st.lists(
+                st.builds(Fraction, st.integers(0, N - 1), st.sampled_from(dens)),
+                min_size=m + n,
+                max_size=m + n,
+            ),
+        )
+    )
+    exps = {p: n * draw(st.integers(-1, 1)) for p in places.primes}
+    ladder = [NormProfile.of(Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 2))) ** n, exps)]
+    for _ in range(draw(st.integers(0, 2))):
+        exps = {p: e + n * draw(st.integers(0, 1)) for p, e in exps.items()}
+        grow = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+        ladder.append(NormProfile.of(ladder[-1].t_inf * grow**n, exps))
+    D = math.prod(p ** max(e // n, 0) for p, e in exps.items())
+    assume((2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n <= 3000)
+    seed = draw(st.integers(0, 2**32 - 1))
+    shallow = SamplerConfig.of(seed, (m, n), places, {p: 1 for p in places.primes}, 2**12)
+    req = CountRequest(places, sample_matrix(shallow), psi, ladder[-1], N, tuple(shift))
+    need = precision_needed(req)
+    deep = SamplerConfig.of(seed, (m, n), places, {p: max(k, 1) for p, k in need.items()}, 2**12)
+    return dataclasses.replace(req, matrix=sample_matrix(deep)), ladder
+
+
+class TestWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(walk_ladders())
+    def test_walk_matches_brute_force_at_every_step(self, drawn):
+        req, ladder = drawn
+        steps = [dataclasses.replace(req, profile=prof) for prof in ladder]
+        assume(sum(bruteforce_cost(one) for one in steps) <= 30_000)
+        assert count_solutions(req, ladder) == [count_solutions_bruteforce(one) for one in steps]
 
 
 class TestBruteForceBudget:
@@ -757,3 +826,62 @@ class TestPinnedCounts:
     def test_table(self):
         text = "\n".join(pinned_ladder_lines())
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
+
+
+def shallow_matrix_raises():
+    """(index, the arguments of the InsufficientPrecision it raises, or
+    None) per seeded n = 2 or n = 3 ladder on a matrix of 1 or 2 digits.
+    Two primes of S, finite step data with linear tails and negative
+    exponents make several shells fail at once, so the raise depends on the
+    order in which the counter meets them."""
+    rng = random.Random(20261219)
+    for i in range(120):
+        places = PlaceSet(rng.choice([(2, 3), (3, 5), (2, 5)]))
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 2)
+        real = rng.choice([ConstantOne(), PowerLaw(Fraction(2), Fraction(1)), LogLaw(Fraction(3), Fraction(1))])
+        fin = {}
+        for p in places.primes:
+            head = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(0, 2))))
+            tail = ("linear", rng.randint(1, 2), max(head, default=0)) if rng.random() < 0.6 else ("constant",)
+            fin[p] = FiniteApproxFunction(p, m, n, head, tail)
+        psi = ApproxCollection.of(real, fin, m, n)
+        N = rng.choice([N for N in (1, 2, 7) if places.admissible_modulus(N)])
+        shift = tuple(Fraction(rng.randrange(N)) for _ in range(m + n)) if rng.random() < 0.5 else ()
+        precision = {p: rng.randint(1, 2) for p in places.primes}
+        A = sample_matrix(SamplerConfig.of(rng.randrange(2**32), (m, n), places, precision, 2**16))
+        while True:
+            exps = {p: n * rng.randint(-1, 1) for p in places.primes}
+            ladder = [NormProfile.of(Fraction(1, rng.randint(1, 4)) ** n, exps)]
+            exps = {p: e + n * rng.randint(0, 2) for p, e in exps.items()}
+            ladder.append(NormProfile.of(ladder[-1].t_inf * 2**n, exps))
+            D = math.prod(p ** max(e // n, 0) for p, e in exps.items())
+            if (2 * D * ladder[-1].t_inf ** Fraction(1, n) + 1) ** n <= 4000:
+                break
+        req = CountRequest(places, A, psi, ladder[-1], N, shift)
+        try:
+            count_solutions(req, ladder)
+            yield i, None
+        except InsufficientPrecision as exc:
+            yield i, (exc.place, exc.needed, exc.available)
+
+
+class TestPinnedRaises:
+    """The (place, needed, available) of every raise of
+    ``shallow_matrix_raises``, recorded with the per-q counter that visited
+    the box in lexicographic order; no other ladder there raises."""
+
+    RAISES = {
+        2: (3, 4, 2), 5: (2, 2, 1), 6: (5, 3, 2), 7: (3, 2, 1), 8: (3, 6, 2), 9: (2, 8, 2),
+        11: (3, 6, 1), 12: (3, 3, 1), 13: (2, 2, 1), 17: (2, 9, 1), 19: (2, 6, 2), 20: (2, 2, 1),
+        22: (3, 6, 2), 24: (2, 4, 1), 25: (3, 3, 2), 27: (2, 3, 1), 29: (2, 3, 1), 30: (2, 4, 1),
+        34: (5, 2, 1), 35: (3, 6, 1), 42: (2, 6, 1), 43: (5, 3, 1), 45: (3, 2, 1), 47: (3, 8, 1),
+        55: (2, 9, 2), 67: (2, 3, 2), 70: (5, 3, 2), 78: (3, 2, 1), 79: (3, 4, 2), 84: (3, 4, 1),
+        85: (2, 4, 1), 90: (2, 4, 1), 93: (2, 5, 2), 95: (5, 3, 2), 97: (5, 3, 1), 99: (5, 3, 1),
+        101: (5, 2, 1), 103: (5, 4, 2), 104: (2, 4, 2), 108: (3, 3, 2), 111: (5, 6, 2),
+        115: (2, 3, 2), 118: (3, 6, 2),
+    }
+
+    def test_table(self):
+        got = {i: args for i, args in shallow_matrix_raises() if args is not None}
+        assert got == self.RAISES

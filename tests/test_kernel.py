@@ -1,13 +1,14 @@
 """Kernel primitives against loop-based oracles, and the module contract."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapprox import _kernel
 from sapprox.checks import check_kernel_ap
-from sapprox.counting import count_solutions
+from sapprox.counting import count_solutions, x_region_volume_mc
 from sapprox.sampler import random_request
 
 
@@ -47,8 +48,9 @@ def test_valuation_definition(n, p):
 
 
 def test_counter_calls_kernel_through_module(monkeypatch):
-    """The counter looks every primitive up on the module at call time, so a
-    wrapper patched onto ``_kernel`` (as per-layer tracing does) sees calls."""
+    """The counter and the fibre oracle look every primitive up on the
+    module at call time, so a wrapper patched onto ``_kernel`` (as per-layer
+    tracing does) sees calls."""
     calls = {}
     for name in ("valuation", "introot", "count_in_ap_int"):
         fn = getattr(_kernel, name)
@@ -62,5 +64,8 @@ def test_counter_calls_kernel_through_module(monkeypatch):
     count_solutions(req)
     assert calls.get("valuation", 0) > 0
     assert calls.get("introot", 0) > 0
-    assert calls.get("count_in_ap_int", 0) > 0
+    # the counter's walk needs no progression count; the fibre oracle does
+    calls.clear()
+    x_region_volume_mc((Fraction(3, 2),), req.psi, req.places, 50, seed=5)
+    assert calls.get("count_in_ap_int", 0) == 50
     assert _kernel.implementation_name() == "pure"
