@@ -48,7 +48,6 @@ inequalities and serves as the oracle for the fast path.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import random
@@ -439,15 +438,6 @@ def count_solutions(
         Ky = _kernel.introot((vn * gd**E) // vd, E)
         return Ky, Ky
 
-    def exact_threshold(amax):
-        return real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m)
-
-    if n > 1:
-        # every outer point revisits the same |a_n|, at most B + 1 values.
-        # With n = 1 each |a| comes at most twice, and a cache would hold a
-        # value per q of the box.
-        threshold, exact_threshold = map(functools.cache, (threshold, exact_threshold))
-
     def walk(zs, ds, G, a, D, count, mo):
         """The summed fibre counts of a, a + D, ..., a + (count - 1) D.  zs
         holds each row's z at a - D, and every step carries it forward by
@@ -490,7 +480,7 @@ def count_solutions(
             k_lo, k_hi = threshold(amax)
             c = fibre(k_hi)
             if c and k_lo != k_hi and fibre(k_lo) != c:
-                c = fibre(exact_threshold(amax))
+                c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m))
             total += c
             a += D
         return total
