@@ -449,16 +449,13 @@ def count_solutions(
             # Ky = k G + rho each row counts 2k + 1 - (z > rho) + (z >= G - rho)
             k, rho = divmod(Ky, G)
             base, top = 2 * k + 1, G - rho
-            for s in range(0, count, 4096):
-                prod = [1] * min(4096, count - s)
+            for _ in range(count):
+                c = 1
                 for i, d in enumerate(ds):
-                    z, back = zs[i], G - d
-                    prod = [
-                        c * (base - ((z := z + d if z < back else z - back) > rho) + (z >= top))
-                        for c in prod
-                    ]
-                    zs[i] = z
-                total += sum(prod)
+                    z = zs[i] + d
+                    zs[i] = z = z - G if z >= G else z
+                    c *= base - (z > rho) + (z >= top)
+                total += c
             return total
 
         def fibre(Ky):
