@@ -29,6 +29,7 @@ from .approx import (  # noqa: F401
     PowerLaw,
     Scaled,
     UserStep,
+    diverges,
     inflate,
     integral_diverges,
     psi_one,

@@ -31,6 +31,13 @@ returns ``math.inf``.  A real kind returns (value, absolute error bound),
 exact Fractions where a closed form exists; a finite place's shell sum is
 always an exact Fraction.
 
+Each real kind states its divergence rule once, in ``tail_diverges`` (a
+power law diverges for a <= 1, a log law for b <= 1), and its
+``integral_to(math.inf)`` asks that rule.  ``integral_diverges`` returns
+the verdict with the value of a convergent integral; ``diverges`` returns
+the verdict alone, from the rule and the finite places' closed-form sums,
+so a campaign decides it without integrating the real place to infinity.
+
 mpmath is imported inside the functions that use it, so a run whose psi
 has closed forms never pays for loading it.
 """
@@ -206,6 +213,12 @@ class RealApproxFunction:
         den = vd * mult.denominator**w
         return _kernel.introot(num // den, e * w)
 
+    def tail_diverges(self) -> bool:
+        """Whether the integral over [0, inf) diverges: the one divergence
+        rule of the kind, which ``integral_to(math.inf)`` also asks.  Raises
+        IntegralUndecidable when the data cannot decide."""
+        raise NotImplementedError
+
     def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
         """(value, absolute error bound) for the integral over [0, T], T
         rational or ``math.inf``; a divergent integral returns (math.inf, 0).
@@ -223,8 +236,11 @@ class ConstantOne(RealApproxFunction):
     def value_triple(self, tn, td):
         return 1, 1, 1
 
+    def tail_diverges(self):
+        return True
+
     def integral_to(self, T):
-        if T == math.inf:
+        if T == math.inf and self.tail_diverges():
             return math.inf, 0
         return Fraction(T), Fraction(0)
 
@@ -258,10 +274,13 @@ class PowerLaw(RealApproxFunction):
         # c * t**(-u/w) = (c**w / t**u) ** (1/w)
         return cn**w * td**u, cd**w * tn**u, w
 
+    def tail_diverges(self):
+        return self.a <= 1
+
     def integral_to(self, T):
         to_inf = T == math.inf
         if to_inf:
-            if self.a <= 1:
+            if self.tail_diverges():
                 return math.inf, 0
         else:
             T = Fraction(T)
@@ -501,10 +520,13 @@ class LogLaw(RealApproxFunction):
                 hi = mid
         return lo, hi
 
+    def tail_diverges(self):
+        return self.b <= 1
+
     def integral_to(self, T):
         to_inf = T == math.inf
         if to_inf:
-            if self.b <= 1:
+            if self.tail_diverges():
                 return math.inf, 0
         else:
             T = Fraction(T)
@@ -564,11 +586,17 @@ class UserStep(RealApproxFunction):
             val = vi
         return val.numerator, val.denominator, 1
 
+    def tail_diverges(self):
+        if self.tail != "constant":
+            raise IntegralUndecidable(
+                'user-step function has no acknowledged tail rule; '
+                'set "tail": "constant" to extend it by its last value'
+            )
+        return True  # the constant tail value is positive
+
     def integral_to(self, T):
-        if T == math.inf:
-            if self.tail != "constant":
-                raise IntegralUndecidable("user-step function has no acknowledged tail rule")
-            return math.inf, 0  # the constant tail value is positive
+        if T == math.inf and self.tail_diverges():
+            return math.inf, 0
         T = Fraction(T)
         total = Fraction(0)
         prev_t, val = Fraction(0), Fraction(1)
@@ -631,6 +659,9 @@ class Scaled(RealApproxFunction):
         return self.base.root_bracket(
             Fraction(t) * self.arg_scale, mult * self.value_scale, e
         )
+
+    def tail_diverges(self):
+        return self.base.tail_diverges()
 
     def integral_to(self, T):
         # a float val times the Fraction f is float(val) * float(f)
@@ -863,9 +894,16 @@ class DivergenceResult:
     value: Fraction | float | None  # the full integral when convergent
     error: Fraction | float | None
 
-    @property
-    def verdict(self) -> str:
-        return "divergent" if self.divergent else "convergent"
+
+def diverges(psi: ApproxCollection, places: PlaceSet) -> bool:
+    """The verdict of ``integral_diverges`` without the value: the real
+    kind's ``tail_diverges`` rule, then the closed-form shell sums of the
+    finite places.  It raises what ``integral_diverges`` raises on the same
+    collection, but never integrates the real place numerically."""
+    psi.check_places(places)
+    return psi.real.tail_diverges() or any(
+        fn.integral_to(math.inf) == math.inf for _, fn in psi.finite
+    )
 
 
 def integral_diverges(psi: ApproxCollection, places: PlaceSet) -> DivergenceResult:

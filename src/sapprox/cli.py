@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .approx import ApproxCollection, integral_diverges, psi_one
+from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
 from .counting import (
     CountRequest,
     InsufficientPrecision,
@@ -333,9 +333,17 @@ def run(config: ExperimentConfig, jobs: int = 1, max_product=None) -> RunResult:
     raise ConfigError(f"mode {mode!r} is not runnable; use report for re-emission")
 
 
+def _diverges(config) -> bool:
+    """Whether the defining integral diverges, decided before any count; an
+    undecidable tail is a usage error that names the fix."""
+    try:
+        return diverges(config.psi, config.places)
+    except IntegralUndecidable as exc:
+        raise ConfigError(f"cannot decide whether the defining integral diverges: {exc}") from None
+
+
 def _run_asymptotic(config, jobs, max_product) -> RunResult:
-    div = integral_diverges(config.psi, config.places)
-    if not div.divergent:
+    if not _diverges(config):
         raise ConfigError(
             "the defining integral converges, so the count/volume ratio has no "
             "limit to verify; use dichotomy mode for the convergent case"
@@ -391,9 +399,9 @@ def _run_dichotomy(config, jobs, max_product) -> RunResult:
     profiles = config.schedule.profiles(config.dims[1], max_product)
     if len(profiles) < 4:
         raise ConfigError("dichotomy mode needs at least four ladder steps")
+    divergent = _diverges(config)
     volumes = _ladder_volumes(config, profiles)
     records = _run_samples(config, profiles, volumes, jobs)
-    div = integral_diverges(config.psi, config.places)
     last = len(profiles) - 1
     tail_start = max(last - 2, 1)
     mid = len(profiles) // 2
@@ -406,7 +414,7 @@ def _run_dichotomy(config, jobs, max_product) -> RunResult:
             growth += 1
     summary = {
         "mode": "dichotomy",
-        "integral": div.verdict,
+        "integral": "divergent" if divergent else "convergent",
         "tail_start_step": tail_start,
         "mid_step": mid,
         "plateau_fraction": plateau / config.sample_count,

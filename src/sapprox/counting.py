@@ -441,13 +441,22 @@ def count_solutions(
     def walk(zs, ds, G, a, D, count, mo):
         """The summed fibre counts of a, a + D, ..., a + (count - 1) D.  zs
         holds each row's z at a - D, and every step carries it forward by
-        one addition mod G."""
+        one addition mod G.
+
+        psi never rises, so over the segment Ky lies in the bracket
+        [K_min, K_max]: K_min is k_lo at the end of larger sup norm, K_max
+        is k_hi at the other end.  A one-value bracket makes Ky constant.
+        Otherwise each a counts at K_max; the fibre count never falls as Ky
+        grows, so a count of 0, or one equal to the count at K_min, is the
+        count at Ky, and only the other a take the per-a decision."""
         total = 0
-        k_lo, Ky = threshold(max(mo, abs(a)))
-        if k_lo == Ky and threshold(max(mo, abs(a + (count - 1) * D))) == (Ky, Ky):
-            # psi never rises, so Ky is constant between equal ends.  With
-            # Ky = k G + rho each row counts 2k + 1 - (z > rho) + (z >= G - rho)
-            k, rho = divmod(Ky, G)
+        last = a + (count - 1) * D
+        near, far = sorted((a, last), key=abs)
+        K_min = threshold(max(mo, abs(far)))[0]
+        K_max = threshold(max(mo, abs(near)))[1]
+        if K_min == K_max:
+            # With Ky = k G + rho each row counts 2k + 1 - (z > rho) + (z >= G - rho)
+            k, rho = divmod(K_min, G)
             base, top = 2 * k + 1, G - rho
             for _ in range(count):
                 c = 1
@@ -470,14 +479,15 @@ def count_solutions(
             for i, d in enumerate(ds):
                 z = zs[i] + d
                 zs[i] = z - G if z >= G else z
-            # The fibre count never falls as Ky grows: every window widens
-            # with Ky.  So a zero count at k_hi is zero at the exact
-            # threshold, and equal counts at k_lo and k_hi are the count there.
-            amax = max(mo, abs(a))
-            k_lo, k_hi = threshold(amax)
-            c = fibre(k_hi)
-            if c and k_lo != k_hi and fibre(k_lo) != c:
-                c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m))
+            # The segment's bracket first, then the same rule on the bracket
+            # at a, then the exact threshold
+            c = fibre(K_max)
+            if c and fibre(K_min) != c:
+                amax = max(mo, abs(a))
+                k_lo, k_hi = threshold(amax)
+                c = fibre(k_hi)
+                if c and k_lo != k_hi and fibre(k_lo) != c:
+                    c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m))
             total += c
             a += D
         return total

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -201,6 +202,11 @@ def _cover_radius(bound: Fraction, root: int) -> float:
     return r
 
 
+def _log2(x: Fraction) -> int:
+    """log2 of a positive rational, to within one."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 def check_sample_count(samples) -> None:
     """Reject a Monte Carlo sample count that is not an int >= 1 (a bool
     included), before any draw."""
@@ -220,16 +226,23 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     independent of how blocks would be distributed across workers.
     """
     check_sample_count(samples)
-    if region.profile.t_inf < 1:
-        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
     m, n = region.m, region.n
+    t_inf = region.profile.t_inf
+    if t_inf < 1:
+        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
+    # the y draws span [-r, r] with r**n >= T_inf: T_inf and 2r must be floats
+    if t_inf > (2**1022 if n == 1 else sys.float_info.max):
+        raise ValueError(
+            "Monte Carlo oracle requires T_inf <= 2**1022 for n = 1 and below 2**1024 "
+            f"for n > 1, the float range of its draws; got T_inf of about 2**{_log2(t_inf)}"
+        )
     psi = region.psi
 
     sup_x = psi.real.sup_value()
     if sup_x <= 0:
         raise ValueError("degenerate bounding box")
     rx = _cover_radius(sup_x, m)
-    ry = _cover_radius(region.profile.t_inf, n)
+    ry = _cover_radius(t_inf, n)
     member = _real_member(region)
 
     fin_data = []  # (p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn)
@@ -242,6 +255,11 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         depth_x = z_max + 1
         fin_data.append((p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn))
         box_vol *= Fraction(p) ** (t * n)  # exact volume of the ||y||_p ball
+    if box_vol > sys.float_info.max:
+        raise ValueError(
+            "Monte Carlo oracle requires a bounding box volume within the float range "
+            f"(below 2**1024); got about 2**{_log2(box_vol)}"
+        )
 
     hits = 0
     block = 8192

@@ -20,6 +20,7 @@ from sapprox.approx import (
     Scaled,
     UndecidedComparison,
     UserStep,
+    diverges,
     evaluate,
     inflate,
     integral_diverges,
@@ -143,11 +144,8 @@ def _finite_fn(rng: random.Random, p: int, m: int, n: int) -> FiniteApproxFuncti
     return FiniteApproxFunction(p, m, n, head, ("linear", alpha, beta))
 
 
-def integral_table() -> list[str]:
-    """integral_to at finite T of each real kind, bare and inflated both
-    ways; integral_diverges on collections of each real kind with seeded
-    finite places; volume_exact on seeded regions of each real kind."""
-    rng = random.Random(20261019)
+def integral_kinds() -> list:
+    """The real kinds of the integral table, bare and inflated both ways."""
     bases = [
         ConstantOne(),
         PowerLaw(Fraction(3, 2), Fraction(2)),  # irrational plateau end
@@ -168,6 +166,15 @@ def integral_table() -> list[str]:
             Scaled(fn, Fraction(3, 2), Fraction(2, 3)),
             Scaled(fn, Fraction(2, 3), Fraction(3, 2)),
         ]
+    return kinds
+
+
+def integral_table() -> list[str]:
+    """integral_to at finite T of each real kind, bare and inflated both
+    ways; integral_diverges on collections of each real kind with seeded
+    finite places; volume_exact on seeded regions of each real kind."""
+    rng = random.Random(20261019)
+    kinds = integral_kinds()
 
     def line(*parts, call):
         try:
@@ -368,6 +375,30 @@ class TestIntegralDiverges:
             UserStep(((Fraction(2), Fraction(1, 2)),), tail="constant"), {}, 1, 1
         )
         assert integral_diverges(acknowledged, PlaceSet(())).divergent
+
+    def test_verdict_matches_integral_diverges(self):
+        # every real kind of the integral table with seeded finite places:
+        # the same verdict, or the same exception
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:
+                return type(exc)
+
+        rng = random.Random(20261020)
+        seen = set()
+        for fn in integral_kinds():
+            for _ in range(4):
+                m, n = rng.choice(((1, 1), (2, 1), (1, 2)))
+                places = PlaceSet(rng.choice(((), (2,), (2, 3))))
+                fin = {p: _finite_fn(rng, p, m, n) for p in places.primes}
+                psi = ApproxCollection.of(fn, fin, m, n)
+                want = outcome(lambda: integral_diverges(psi, places).divergent)
+                assert outcome(lambda: diverges(psi, places)) == want, psi
+                seen.add(want)
+        assert seen == {True, False, IntegralUndecidable}
+        with pytest.raises(ValueError, match="places"):
+            diverges(psi_one(self.S, 1, 1), PlaceSet(()))
 
     def test_linear_tail_threshold(self):
         # z_k = alpha k converges exactly when m*alpha > n

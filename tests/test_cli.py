@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -131,6 +132,48 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="dichotomy"):
             run(cfg)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "dichotomy"])
+    def test_undecidable_tail_is_a_usage_error_before_any_count(
+        self, mode, tmp_path, monkeypatch, capsys
+    ):
+        obj = default_config(mode).to_json()
+        obj["psi"]["real"] = {"kind": "user-step", "breakpoints": [["2", "1/2"]], "tail": None}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr(
+            "sapprox.cli.count_solutions", lambda *a, **k: pytest.fail("counted before the verdict")
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert '"tail": "constant"' in capsys.readouterr().err
+
+    def test_dichotomy_verdict_never_integrates_to_infinity(self, monkeypatch):
+        from sapprox import approx
+
+        to_inf = []
+        for cls in (approx.LogLaw, approx.Scaled):
+            original = cls.integral_to
+
+            def counted(self, T, original=original):
+                if T == math.inf:
+                    to_inf.append(self)
+                return original(self, T)
+
+            monkeypatch.setattr(cls, "integral_to", counted)
+        psi = ApproxCollection.of(
+            approx.LogLaw(Fraction(1), Fraction(2)),
+            {2: FiniteApproxFunction(2, 1, 1, (), ("linear", 2, 0))},
+            1,
+            1,
+        )
+        cfg = default_config("dichotomy")
+        cfg = dataclasses.replace(
+            cfg, psi=psi, sample_count=1, schedule=dataclasses.replace(cfg.schedule, steps=4)
+        )
+        assert run(cfg).summary["integral"] == "convergent"
+        assert to_inf == []
 
     @pytest.mark.parametrize("mode", ["asymptotic", "dichotomy"])
     @pytest.mark.parametrize("count", [0, -1])

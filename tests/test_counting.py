@@ -3,9 +3,11 @@ rescaling, discrepancy, and the combinatorial bounds."""
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +20,7 @@ from sapprox.approx import (
     LogLaw,
     PowerLaw,
     Scaled,
+    UserStep,
     psi_one,
 )
 from sapprox.checks import (
@@ -312,20 +315,32 @@ def walk_ladders(draw):
     """A nested ladder of 1-3 small boxes and a request at its last step, on
     a matrix deep enough never to raise.  It covers n = 1, 2 and 3, negative
     finite exponents, N > 1 with symmetric and asymmetric shifts, and
-    constant, power-law and log-law (b = 0 and b > 0) real parts."""
+    constant, power-law, log-law (b = 0 and b > 0, bare and Scaled) and
+    step real parts.  The steps jump at ||q||**n = (k/2)**n, k = 2..8,
+    inside the boxes, so Ky jumps within a walk segment."""
     places = PlaceSet(draw(st.sampled_from([(), (2,), (3,), (2, 3)])))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3 if n == 1 else 2))
+    steps = st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True).map(
+        lambda ks: UserStep(
+            tuple((Fraction(k, 2) ** n, Fraction(1, i + 2)) for i, k in enumerate(sorted(ks)))
+        )
+    )
     real = draw(
-        st.sampled_from(
-            [
-                ConstantOne(),
-                PowerLaw(Fraction(2), Fraction(1)),
-                PowerLaw(Fraction(1), Fraction(1, 2)),
-                LogLaw(Fraction(3), Fraction(0)),
-                LogLaw(Fraction(5, 2), Fraction(1)),
-                LogLaw(Fraction(4), Fraction(2)),
-            ]
+        st.one_of(
+            st.sampled_from(
+                [
+                    ConstantOne(),
+                    PowerLaw(Fraction(2), Fraction(1)),
+                    PowerLaw(Fraction(1), Fraction(1, 2)),
+                    LogLaw(Fraction(3), Fraction(0)),
+                    LogLaw(Fraction(5, 2), Fraction(1)),
+                    LogLaw(Fraction(4), Fraction(2)),
+                    Scaled(LogLaw(Fraction(4), Fraction(2)), Fraction(1, 3), Fraction(3)),
+                    Scaled(LogLaw(Fraction(5, 2), Fraction(1)), Fraction(3, 2), Fraction(2, 3)),
+                ]
+            ),
+            steps,
         )
     )
     fin = {}
@@ -371,6 +386,38 @@ class TestWalk:
         steps = [dataclasses.replace(req, profile=prof) for prof in ladder]
         assume(sum(bruteforce_cost(one) for one in steps) <= 30_000)
         assert count_solutions(req, ladder) == [count_solutions_bruteforce(one) for one in steps]
+
+
+class TestLogLawLadder:
+    """The shipped 12-step dichotomy-convergent ladder with the benchmark's
+    log law c = 1, b = 2, two samples.  The counts were recorded before the
+    walk bracketed Ky once per segment; that walk called root_bracket 65,600
+    times on this run, once per a."""
+
+    COUNTS = [
+        [11, 13, 13, 17, 17, 17, 19, 19, 19, 19, 19, 19],
+        [11, 13, 13, 19, 21, 21, 21, 21, 21, 23, 23, 23],
+    ]
+
+    def test_counts_and_root_bracket_calls(self, monkeypatch):
+        from sapprox.cli import ExperimentConfig, run
+
+        calls = []
+        root_bracket = LogLaw.root_bracket
+
+        def counted(self, *args):
+            calls.append(args)
+            return root_bracket(self, *args)
+
+        monkeypatch.setattr(LogLaw, "root_bracket", counted)
+        path = Path(__file__).resolve().parent.parent / "configs" / "dichotomy-convergent.json"
+        config = ExperimentConfig.from_json(json.loads(path.read_text()))
+        psi = dataclasses.replace(config.psi, real=LogLaw(Fraction(1), Fraction(2)))
+        config = dataclasses.replace(config, psi=psi, sample_count=2)
+        assert config.schedule.steps == 12
+        records = run(config).records
+        assert [[r.count for r in records if r.sample == s] for s in (0, 1)] == self.COUNTS
+        assert len(calls) <= 1000
 
 
 class TestBruteForceBudget:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -167,6 +168,22 @@ class TestMonteCarlo:
         reg = Region(psi_one(S2, 1, 1), NormProfile.of(Fraction(2), {2: 1}), S2)
         with pytest.raises(ValueError, match="samples must be an int >= 1"):
             volume_monte_carlo(reg, samples, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, t_inf, exps, message",
+        [
+            (1, Fraction(10**400), {2: 1}, "requires T_inf <= 2**1022 for n = 1"),
+            (2, Fraction(10**400), {2: 2}, "below 2**1024 for n > 1"),
+            (1, Fraction(2**1022), {2: 1}, "bounding box volume within the float range"),
+            (1, Fraction(2), {2: 1100}, "bounding box volume within the float range"),
+        ],
+    )
+    def test_rejects_a_box_beyond_the_float_range(self, n, t_inf, exps, message, monkeypatch):
+        # before, each raised a bare OverflowError; now a ValueError before any draw
+        reg = Region(psi_one(S2, 1, n), NormProfile.of(t_inf, exps), S2)
+        monkeypatch.setattr("sapprox.volume.derive_seed", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            volume_monte_carlo(reg, 100, seed=1)
 
     def test_deterministic(self):
         reg = Region(psi_one(S2, 2, 1), NormProfile.of(Fraction(3), {2: 1}), S2)
