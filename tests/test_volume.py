@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sapprox import _kernel
 from sapprox.approx import (
     ApproxCollection,
+    ConstantOne,
     FiniteApproxFunction,
     LogLaw,
     PowerLaw,
@@ -20,8 +24,16 @@ from sapprox.approx import (
     psi_one,
 )
 from sapprox.checks import check_volume_identity, random_region
-from sapprox.sring import NormProfile, PlaceSet
-from sapprox.volume import Region, contains, contains_pair, volume_exact, volume_monte_carlo
+from sapprox.sring import NormProfile, PlaceSet, derive_seed
+from sapprox.volume import (
+    Region,
+    _cover_radius,
+    _real_member,
+    contains,
+    contains_pair,
+    volume_exact,
+    volume_monte_carlo,
+)
 
 S2 = PlaceSet((2,))
 
@@ -240,6 +252,127 @@ class TestPinnedMonteCarlo:
     def test_table(self):
         lines = monte_carlo_table()
         assert len(lines) == 72
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.SHA256
+
+
+def reference_monte_carlo(region: Region, samples: int, seed: int):
+    """(hits, samples, box volume) from the oracle's draw loop as first
+    written: ``uniform`` and ``randrange`` draws, ``_kernel.valuation`` at the
+    finite places and ``_real_member`` on every draw.  The oracle must draw
+    the same stream and reach the same hits."""
+    m, n = region.m, region.n
+    rx = _cover_radius(region.psi.real.sup_value(), m)
+    ry = _cover_radius(region.profile.t_inf, n)
+    member = _real_member(region)
+    fin_data = []
+    box_vol = (2 * Fraction(rx)) ** m * (2 * Fraction(ry)) ** n
+    for p in region.places.primes:
+        fn = region.psi.finite_fn(p)
+        t = region.t_block(p)
+        z_max = fn.z_at_block(t) if t >= 1 else 0
+        depth_y = max(t, 0) + 1
+        depth_x = z_max + 1
+        fin_data.append((p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn))
+        box_vol *= Fraction(p) ** (t * n)
+    hits = 0
+    block = 8192
+    for block_index, start in enumerate(range(0, samples, block)):
+        count = min(block, samples - start)
+        rng = random.Random(derive_seed(seed, "mc-block", block_index))
+        uniform, randrange = rng.uniform, rng.randrange
+        for _ in range(count):
+            ax = max([abs(uniform(-rx, rx)) for _ in range(m)])
+            ay = max([abs(uniform(-ry, ry)) for _ in range(n)])
+            ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
+            for p, t, dy, dx, my, mx, fn in fin_data:
+                ry_res = [randrange(my) for _ in range(n)]
+                rx_res = [randrange(mx) for _ in range(m)]
+                if not ok:
+                    continue
+                mv_y = min((_kernel.valuation(r, p) if r else dy for r in ry_res), default=dy)
+                kappa = t - mv_y
+                z = fn.z_at_block(kappa) if kappa >= 1 else 0
+                if z > 0 and min(_kernel.valuation(r, p) if r else dx for r in rx_res) < z:
+                    ok = False
+                    break
+            hits += ok
+    return hits, samples, box_vol
+
+
+MC_REALS = (
+    ConstantOne(),
+    PowerLaw(Fraction(2), Fraction(1)),
+    PowerLaw(Fraction(3), Fraction(3, 2)),
+    LogLaw(Fraction(2), Fraction(0)),
+    LogLaw(Fraction(2), Fraction(1, 2)),
+    LogLaw(Fraction(3, 2), Fraction(2)),
+    Scaled(PowerLaw(Fraction(3), Fraction(1, 2)), Fraction(3, 2), Fraction(2, 3)),
+    Scaled(LogLaw(Fraction(3, 2), Fraction(1)), Fraction(1, 2), Fraction(2)),
+)
+
+
+def finite_test_region(rng: random.Random, real=None) -> Region:
+    """A region whose finite places run x tests: m, n in 1..2, S = {2},
+    {2, 3} or {3, 5}, t_p in 0..3, and step heads that reach z >= 1.  A draw
+    that misses at the first of two places stops there, so the next draw
+    starts where the loop left the stream.  The real part is drawn from
+    ``MC_REALS`` unless given."""
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    primes = rng.choice(((2,), (2, 3), (3, 5)))
+    fin = {}
+    for p in primes:
+        head, z = [], 0
+        for _ in range(rng.randint(1, 3)):
+            z += rng.randint(0, 2)
+            head.append(z)
+        head[-1] = max(head[-1], 1)
+        fin[p] = FiniteApproxFunction(p, m, n, tuple(head))
+    psi = ApproxCollection.of(real or rng.choice(MC_REALS), fin, m, n)
+    prof = NormProfile.of(Fraction(rng.randint(4, 20), 4) ** n, {p: n * rng.randint(0, 3) for p in primes})
+    return Region(psi, prof, PlaceSet(primes))
+
+
+class TestStreamContract:
+    """The oracle against the draw loop as first written, on regions where
+    the finite places test x and a miss there stops the sample."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_matches_the_reference_loop(self, region_seed, seed):
+        reg = finite_test_region(random.Random(region_seed))
+        mc = volume_monte_carlo(reg, 300, seed)
+        assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 300, seed)
+
+    def test_matches_the_reference_loop_across_a_block(self):
+        # 8,192 draws per block, each block on its own derived stream
+        reg = finite_test_region(random.Random(5))
+        mc = volume_monte_carlo(reg, 8300, 17)
+        assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 8300, 17)
+
+
+def finite_test_table() -> list[str]:
+    """(hits, samples, box volume) of the oracle on seeded ``finite_test_region``
+    regions, every real kind of ``MC_REALS`` in turn."""
+    lines = []
+    for seed in range(80):
+        rng = random.Random(f"mc-finite-table/{seed}")
+        reg = finite_test_region(rng, MC_REALS[seed % len(MC_REALS)])
+        mc = volume_monte_carlo(reg, 200, seed=rng.randrange(2**32))
+        lines.append(f"{mc.hits} {mc.samples} {mc.box_volume}")
+    return lines
+
+
+class TestPinnedFiniteMonteCarlo:
+    """The oracle's hits on regions with finite x tests, hashed: the draws
+    after a finite-place miss show here, which ``TestPinnedMonteCarlo``
+    (heads (0, 1) at t = 1, so z = 0) never reaches."""
+
+    SHA256 = "ecaa6812e785088d5a1272f1c6657c82207b85b585826a54d842ce6a52d974ce"
+
+    def test_table(self):
+        lines = finite_test_table()
+        assert len(lines) == 80
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SHA256
 
