@@ -12,23 +12,29 @@ the place's own ``integral_to``, the same method that
 
 The Monte Carlo estimator is an independent oracle: it samples the bounding
 adelic box (uniform float reals at the real place, uniform residues at the
-finite places) and tests membership exactly.  A float is an exact dyadic
-rational, so the real-place test runs on the integer ratios of the draws,
-cross-multiplied as in ``RealApproxFunction.leq_value``; ``contains`` runs
-the same test on rational points.  The bounding box volume is exact, so the
-only error is binomial.
+finite places) and tests membership exactly.  It draws through the
+generator's own primitives, ``random()`` in ``uniform``'s formula and
+``getrandbits`` in ``randrange``'s loop, in a fixed order that a finite-place
+miss cuts short (the stream contract of ``volume_monte_carlo``).  A float is
+an exact dyadic rational, so the real-place test runs on the integer ratios
+of the draws, cross-multiplied as in ``RealApproxFunction.leq_value``;
+``contains`` runs the same test on rational points.  Two cuts taken from
+that test once per call decide most draws by float comparisons: y_cut, the
+largest float y with y**n <= T_inf, and the flat corner (x_flat, y_flat),
+inside which psi is still its sup.  Each finite place is one gcd of its
+residues.  The bounding box volume is exact, so the only error is binomial.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import _kernel
 from .approx import ApproxCollection
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, lookup, min_valuation, sup_norm
 
@@ -207,6 +213,16 @@ def _log2(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
+def _check_float_radius(name: str, bound: Fraction, dim: str, root: int) -> None:
+    """Reject a bound whose cover radius r would leave the float range of the
+    draws, which span [-r, r] with width 2r."""
+    if bound > (2**1022 if root == 1 else sys.float_info.max):
+        raise ValueError(
+            f"Monte Carlo oracle requires {name} <= 2**1022 for {dim} = 1 and below 2**1024 "
+            f"for {dim} > 1, the float range of its draws; got {name} of about 2**{_log2(bound)}"
+        )
+
+
 def check_sample_count(samples) -> None:
     """Reject a Monte Carlo sample count that is not an int >= 1 (a bool
     included), before any draw."""
@@ -214,76 +230,144 @@ def check_sample_count(samples) -> None:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
 
 
+def _largest_passing(passes, hi: float) -> float:
+    """The largest float x in (0, hi] with passes(x), for a test that holds
+    up to some point and fails beyond it; -1.0, below every draw, when no
+    positive float passes.  Bisects over the bit patterns, which order the
+    positive floats, and never asks about 0."""
+    if passes(hi):
+        return hi
+
+    def as_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, top = 0, struct.unpack("<q", struct.pack("<d", hi))[0]  # lo passes or is 0; top fails
+    while top - lo > 1:
+        mid = (lo + top) // 2
+        if passes(as_float(mid)):
+            lo = mid
+        else:
+            top = mid
+    return as_float(lo) if lo else -1.0
+
+
+def _real_cuts(region: Region, member, rx: float, ry: float) -> tuple[float, float, float]:
+    """(y_cut, x_flat, y_flat), the three floats that decide most real-place
+    draws without ``member``, each the largest float passing its exact test:
+
+    - y_cut, in (0, ry]: y**n <= T_inf;
+    - x_flat, in (0, rx]: x**m <= sup psi_inf;
+    - y_flat, in (0, y_cut]: ``member(x_flat, y)``.
+
+    psi never rises and equals its sup near 0, so a draw with ay > y_cut
+    misses, and one with ay <= y_flat is in exactly when ax <= x_flat."""
+    m, n = region.m, region.n
+    t_inf, sup_x = region.profile.t_inf, region.psi.real.sup_value()
+    y_cut = _largest_passing(lambda y: Fraction(y) ** n <= t_inf, ry)
+    x_flat = _largest_passing(lambda x: Fraction(x) ** m <= sup_x, rx)
+    if x_flat < 0:
+        return y_cut, x_flat, -1.0
+    xn, xd = x_flat.as_integer_ratio()
+    y_flat = _largest_passing(lambda y: member(xn, xd, *y.as_integer_ratio()), y_cut)
+    return y_cut, x_flat, y_flat
+
+
 def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloResult:
     """Uniform sampling of the bounding adelic box with exact membership tests.
 
-    Each real coordinate is a float draw, an exact dyadic rational, so the
-    real-place test runs on the integer ratios of the sup norms.  Per sample
-    the stream gives the m x draws, the n y draws, then the residues place by
-    place; a real-place miss still draws every residue, keeping the stream
-    aligned.  Deterministic given (seed, samples); the budget is consumed in
-    fixed-size blocks with independently derived streams, so the result is
-    independent of how blocks would be distributed across workers.
+    The stream: the budget runs in blocks of 8,192 samples, block i on
+    ``random.Random(derive_seed(seed, "mc-block", i))``.  Per sample it gives
+    the m x draws, the n y draws, then place by place the n y residues and
+    the m x residues.  A real coordinate in [-r, r] is ``-r + 2r * random()``,
+    ``uniform``'s own formula; a residue below p**d is ``getrandbits(k)``,
+    k = (p**d).bit_length(), drawn again while it is >= p**d, ``randrange``'s
+    own loop.  A real-place miss still draws every place's residues; a miss
+    at a finite place stops the sample there.  So the result is
+    deterministic given (seed, samples), and independent of how blocks would
+    be distributed across workers.
+
+    Each real coordinate is an exact dyadic rational.  Three floats, each the
+    largest passing its exact test (``_real_cuts``), decide most draws: a y
+    sup norm above y_cut misses; at or below y_flat the draw is in exactly
+    when the x sup norm is at most x_flat; every other draw runs
+    ``_real_member`` on the integer ratios.  At a finite place
+    gcd(p**depth, *y residues) is p**(min valuation), which a per-call dict
+    maps to the x test p**z (0 for none); the x residues pass when p**z
+    divides their gcd.
     """
     check_sample_count(samples)
     m, n = region.m, region.n
     t_inf = region.profile.t_inf
     if t_inf < 1:
         raise ValueError("Monte Carlo oracle requires T_inf >= 1")
-    # the y draws span [-r, r] with r**n >= T_inf: T_inf and 2r must be floats
-    if t_inf > (2**1022 if n == 1 else sys.float_info.max):
-        raise ValueError(
-            "Monte Carlo oracle requires T_inf <= 2**1022 for n = 1 and below 2**1024 "
-            f"for n > 1, the float range of its draws; got T_inf of about 2**{_log2(t_inf)}"
-        )
     psi = region.psi
-
     sup_x = psi.real.sup_value()
     if sup_x <= 0:
         raise ValueError("degenerate bounding box")
+    # the draws span [-r, r] with r**root >= bound: the bound and 2r must be floats
+    _check_float_radius("T_inf", t_inf, "n", n)
+    _check_float_radius("the real part's sup value", sup_x, "m", m)
     rx = _cover_radius(sup_x, m)
     ry = _cover_radius(t_inf, n)
-    member = _real_member(region)
 
-    fin_data = []  # (p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn)
+    # per place: (p**depth_y, its bit length, p**depth_x, its bit length,
+    # {p**j: x test at y valuation j})
+    fin_data = []
     box_vol = (2 * Fraction(rx)) ** m * (2 * Fraction(ry)) ** n
     for p in region.places.primes:
         fn = psi.finite_fn(p)
         t = region.t_block(p)
         z_max = fn.z_at_block(t) if t >= 1 else 0
         depth_y = max(t, 0) + 1
-        depth_x = z_max + 1
-        fin_data.append((p, t, depth_y, depth_x, p**depth_y, p**depth_x, fn))
+        # residues are known mod p**depth: 0 stands for valuation depth
+        x_test = {}
+        for j in range(depth_y + 1):
+            z = fn.z_at_block(t - j) if t - j >= 1 else 0
+            x_test[p**j] = p**z if z > 0 else 0
+        my, mx = p**depth_y, p ** (z_max + 1)
+        fin_data.append((my, my.bit_length(), mx, mx.bit_length(), x_test))
         box_vol *= Fraction(p) ** (t * n)  # exact volume of the ||y||_p ball
     if box_vol > sys.float_info.max:
         raise ValueError(
             "Monte Carlo oracle requires a bounding box volume within the float range "
             f"(below 2**1024); got about 2**{_log2(box_vol)}"
         )
+    member = _real_member(region)
+    y_cut, x_flat, y_flat = _real_cuts(region, member, rx, ry)
+    x0, y0 = -rx, -ry
+    wx, wy = rx - x0, ry - y0
+    gcd = math.gcd
 
     hits = 0
     block = 8192
     for block_index, start in enumerate(range(0, samples, block)):
         count = min(block, samples - start)
         rng = random.Random(derive_seed(seed, "mc-block", block_index))
-        uniform, randrange = rng.uniform, rng.randrange
+        rand, bits = rng.random, rng.getrandbits
+
+        def below(mod: int, k: int) -> int:
+            r = bits(k)
+            while r >= mod:
+                r = bits(k)
+            return r
+
         for _ in range(count):
-            ax = max([abs(uniform(-rx, rx)) for _ in range(m)])
-            ay = max([abs(uniform(-ry, ry)) for _ in range(n)])
-            ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
-            for p, t, dy, dx, my, mx, fn in fin_data:
-                ry_res = [randrange(my) for _ in range(n)]
-                rx_res = [randrange(mx) for _ in range(m)]
-                if not ok:
-                    continue  # a real-place miss still draws every residue
-                # residues are known mod p**depth: a nonzero one has
-                # valuation below depth, and 0 stands for depth
-                mv_y = min((_kernel.valuation(r, p) if r else dy for r in ry_res), default=dy)
-                kappa = t - mv_y
-                z = fn.z_at_block(kappa) if kappa >= 1 else 0
-                if z > 0 and min(_kernel.valuation(r, p) if r else dx for r in rx_res) < z:
-                    ok = False
-                    break
+            ax = max([abs(x0 + wx * rand()) for _ in range(m)])
+            ay = max([abs(y0 + wy * rand()) for _ in range(n)])
+            if ay > y_cut:
+                ok = False
+            elif ay <= y_flat:
+                ok = ax <= x_flat
+            else:
+                ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
+            for my, ky, mx, kx, x_test in fin_data:
+                ys = [below(my, ky) for _ in range(n)]
+                xs = [below(mx, kx) for _ in range(m)]
+                if ok:
+                    pz = x_test[gcd(my, *ys)]
+                    if pz and gcd(*xs) % pz:
+                        ok = False
+                        break
             hits += ok
 
     phat = hits / samples

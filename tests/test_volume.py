@@ -1,5 +1,6 @@
 """Adelic region volumes: exact factorization against the Monte Carlo oracle."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -28,6 +29,7 @@ from sapprox.sring import NormProfile, PlaceSet, derive_seed
 from sapprox.volume import (
     Region,
     _cover_radius,
+    _real_cuts,
     _real_member,
     contains,
     contains_pair,
@@ -182,17 +184,22 @@ class TestMonteCarlo:
             volume_monte_carlo(reg, samples, seed=1)
 
     @pytest.mark.parametrize(
-        "n, t_inf, exps, message",
+        "n, t_inf, exps, message, sup",
         [
-            (1, Fraction(10**400), {2: 1}, "requires T_inf <= 2**1022 for n = 1"),
-            (2, Fraction(10**400), {2: 2}, "below 2**1024 for n > 1"),
-            (1, Fraction(2**1022), {2: 1}, "bounding box volume within the float range"),
-            (1, Fraction(2), {2: 1100}, "bounding box volume within the float range"),
+            (1, Fraction(10**400), {2: 1}, "requires T_inf <= 2**1022 for n = 1", 1),
+            (2, Fraction(10**400), {2: 2}, "below 2**1024 for n > 1", 1),
+            (1, Fraction(2**1022), {2: 1}, "bounding box volume within the float range", 1),
+            (1, Fraction(2), {2: 1100}, "bounding box volume within the float range", 1),
+            (1, Fraction(2), {}, "requires the real part's sup value <= 2**1022 for m = 1", 10**400),
         ],
     )
-    def test_rejects_a_box_beyond_the_float_range(self, n, t_inf, exps, message, monkeypatch):
+    def test_rejects_a_box_beyond_the_float_range(self, n, t_inf, exps, message, sup, monkeypatch):
         # before, each raised a bare OverflowError; now a ValueError before any draw
-        reg = Region(psi_one(S2, 1, n), NormProfile.of(t_inf, exps), S2)
+        places = PlaceSet(tuple(exps))
+        psi = psi_one(places, 1, n)
+        if sup != 1:
+            psi = dataclasses.replace(psi, real=Scaled(ConstantOne(), Fraction(sup), Fraction(1)))
+        reg = Region(psi, NormProfile.of(t_inf, exps), places)
         monkeypatch.setattr("sapprox.volume.derive_seed", lambda *a: pytest.fail("drew"))
         with pytest.raises(ValueError, match=re.escape(message)):
             volume_monte_carlo(reg, 100, seed=1)
@@ -344,11 +351,116 @@ class TestStreamContract:
         mc = volume_monte_carlo(reg, 300, seed)
         assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 300, seed)
 
+    def test_matches_the_reference_loop_on_boundary_draws(self, monkeypatch):
+        # every fourth random() is 0.0, 0.25 or 0.5, so a coordinate lands on
+        # -r, -r/2 or 0 exactly, and each region puts cuts there: x_flat = rx
+        # (sup 1, or 9/4 at m = 2), y_cut = ry (T_inf = 9/4 at n = 2, or 4),
+        # y_flat = y_cut (psi = 1), and y_flat = 2 = ry/2 at the plateau end
+        # of 4 t**-2 and of a step at t = 2; a sup below every positive float
+        # leaves no flat corner, and the x draws are 0 or the least subnormal
+        two = {p: FiniteApproxFunction(p, 1, 2, (1, 2)) for p in (2, 3)}
+        one = {p: FiniteApproxFunction(p, 2, 1, (1, 2)) for p in (2, 3)}
+        regions = [
+            Region(ApproxCollection.of(ConstantOne(), two, 1, 2), NormProfile.of(Fraction(9, 4), {2: 2, 3: 2}), PlaceSet((2, 3))),
+            Region(
+                ApproxCollection.of(Scaled(ConstantOne(), Fraction(9, 4), Fraction(1)), one, 2, 1),
+                NormProfile.of(Fraction(4), {2: 1, 3: 1}),
+                PlaceSet((2, 3)),
+            ),
+            Region(ApproxCollection.of(PowerLaw(Fraction(4), Fraction(2)), one, 2, 1), NormProfile.of(Fraction(4), {2: 2, 3: 1}), PlaceSet((2, 3))),
+            Region(
+                ApproxCollection.of(UserStep(((Fraction(2), Fraction(1, 4)),)), one, 2, 1),
+                NormProfile.of(Fraction(4), {2: 1, 3: 2}),
+                PlaceSet((2, 3)),
+            ),
+            Region(
+                ApproxCollection.of(Scaled(ConstantOne(), Fraction(1, 10**400), Fraction(1)), two, 1, 2),
+                NormProfile.of(Fraction(9, 4), {2: 2, 3: 2}),
+                PlaceSet((2, 3)),
+            ),
+        ]
+
+        class BoundaryRandom(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.calls = 0
+
+            def random(self):
+                self.calls += 1
+                u = super().random()
+                return u if self.calls % 4 else (0.0, 0.25, 0.5)[int(3 * u)]
+
+            def getrandbits(self, k):  # keeps randrange on getrandbits
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(random, "Random", BoundaryRandom)
+        for i, reg in enumerate(regions):
+            mc = volume_monte_carlo(reg, 600, i)
+            assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 600, i)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_draws_are_the_generators_own(self, seed):
+        # volume_monte_carlo draws a residue below p**d as randrange's own
+        # loop on getrandbits, and a coordinate in [-r, r] as uniform's own
+        # formula; if CPython changes either, its stream drifts from the one
+        # these methods gave
+        for p in (2, 3, 5):
+            for d in range(1, 9):
+                mod = p**d
+                k = mod.bit_length()
+                ref, own = random.Random(seed), random.Random(seed)
+                for _ in range(40):
+                    r = own.getrandbits(k)
+                    while r >= mod:
+                        r = own.getrandbits(k)
+                    assert r == ref.randrange(mod), "volume_monte_carlo's residue draw left randrange"
+        for r in (1.0, 1.5, 2.0 ** 0.5, 5.25, 2.0**1022):
+            ref, own = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert -r + (r - -r) * own.random() == ref.uniform(-r, r), "volume_monte_carlo's coordinate draw left uniform"
+
     def test_matches_the_reference_loop_across_a_block(self):
         # 8,192 draws per block, each block on its own derived stream
         reg = finite_test_region(random.Random(5))
         mc = volume_monte_carlo(reg, 8300, 17)
         assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 8300, 17)
+
+
+CUT_REALS = MC_REALS + (
+    PowerLaw(Fraction(4), Fraction(2)),
+    UserStep(((Fraction(2), Fraction(1, 2)), (Fraction(9, 2), Fraction(1, 4)))),
+    Scaled(UserStep(((Fraction(3), Fraction(1, 3)),)), Fraction(9, 4), Fraction(3, 2)),
+)
+
+
+class TestRealCuts:
+    """Each cut is the largest float passing its exact test: it passes and the
+    next float up fails, on ties (T_inf = 9/4 at n = 2, powers of 2, sup 1
+    and 9/4, plateau ends at t = 2) and on seeded bounds."""
+
+    @pytest.mark.parametrize("real", CUT_REALS, ids=lambda r: type(r).__name__)
+    def test_each_cut_is_the_largest_passing_float(self, real):
+        rng = random.Random(f"cuts/{real!r}")
+        bounds = [Fraction(1), Fraction(2), Fraction(4), Fraction(9, 4), Fraction(2**60), Fraction(1, 2**40) + 1]
+        bounds += [Fraction(rng.randint(4, 10**6), rng.randint(1, 4)) for _ in range(4)]
+        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+            for t_inf in bounds:
+                reg = Region(ApproxCollection.of(real, {}, m, n), NormProfile.of(t_inf, {}), PlaceSet(()))
+                sup = real.sup_value()
+                rx, ry = _cover_radius(sup, m), _cover_radius(t_inf, n)
+                member = _real_member(reg)
+                y_cut, x_flat, y_flat = _real_cuts(reg, member, rx, ry)
+
+                def flat(y, xr=x_flat.as_integer_ratio()):
+                    return y <= y_cut and member(*xr, *y.as_integer_ratio())
+
+                for cut, passes in (
+                    (y_cut, lambda y: Fraction(y) ** n <= t_inf),
+                    (x_flat, lambda x: Fraction(x) ** m <= sup),
+                    (y_flat, flat),
+                ):
+                    assert cut > 0 and passes(cut), (m, n, t_inf, cut)
+                    assert not passes(math.nextafter(cut, math.inf)), (m, n, t_inf, cut)
 
 
 def finite_test_table() -> list[str]:
