@@ -265,8 +265,6 @@ def _real_cuts(region: Region, member, rx: float, ry: float) -> tuple[float, flo
     t_inf, sup_x = region.profile.t_inf, region.psi.real.sup_value()
     y_cut = _largest_passing(lambda y: Fraction(y) ** n <= t_inf, ry)
     x_flat = _largest_passing(lambda x: Fraction(x) ** m <= sup_x, rx)
-    if x_flat < 0:
-        return y_cut, x_flat, -1.0
     xn, xd = x_flat.as_integer_ratio()
     y_flat = _largest_passing(lambda y: member(xn, xd, *y.as_integer_ratio()), y_cut)
     return y_cut, x_flat, y_flat
@@ -304,7 +302,11 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     sup_x = psi.real.sup_value()
     if sup_x <= 0:
         raise ValueError("degenerate bounding box")
-    # the draws span [-r, r] with r**root >= bound: the bound and 2r must be floats
+    if sup_x < Fraction(1, 2**1022):  # its root must start from a normal float
+        raise ValueError(
+            "Monte Carlo oracle requires the real part's sup value >= 2**-1022, the least "
+            f"normal float; got about 2**{_log2(sup_x)}"
+        )
     _check_float_radius("T_inf", t_inf, "n", n)
     _check_float_radius("the real part's sup value", sup_x, "m", m)
     rx = _cover_radius(sup_x, m)

@@ -190,11 +190,13 @@ class TestMonteCarlo:
             (2, Fraction(10**400), {2: 2}, "below 2**1024 for n > 1", 1),
             (1, Fraction(2**1022), {2: 1}, "bounding box volume within the float range", 1),
             (1, Fraction(2), {2: 1100}, "bounding box volume within the float range", 1),
-            (1, Fraction(2), {}, "requires the real part's sup value <= 2**1022 for m = 1", 10**400),
+            (1, Fraction(2), {}, "requires the real part's sup value <= 2**1022 for m = 1", Fraction(10**400)),
+            (1, Fraction(2), {}, "requires the real part's sup value >= 2**-1022", Fraction(1, 10**400)),
         ],
     )
     def test_rejects_a_box_beyond_the_float_range(self, n, t_inf, exps, message, sup, monkeypatch):
-        # before, each raised a bare OverflowError; now a ValueError before any draw
+        # before, each raised a bare OverflowError, or drew (a sup below 2**-1022
+        # hung in _cover_radius at m >= 2); now a ValueError before any draw
         places = PlaceSet(tuple(exps))
         psi = psi_one(places, 1, n)
         if sup != 1:
@@ -356,8 +358,8 @@ class TestStreamContract:
         # -r, -r/2 or 0 exactly, and each region puts cuts there: x_flat = rx
         # (sup 1, or 9/4 at m = 2), y_cut = ry (T_inf = 9/4 at n = 2, or 4),
         # y_flat = y_cut (psi = 1), and y_flat = 2 = ry/2 at the plateau end
-        # of 4 t**-2 and of a step at t = 2; a sup below every positive float
-        # leaves no flat corner, and the x draws are 0 or the least subnormal
+        # of 4 t**-2 and of a step at t = 2; psi(10**400 t) leaves the plateau
+        # below every positive float, so no y is flat and every draw runs member
         two = {p: FiniteApproxFunction(p, 1, 2, (1, 2)) for p in (2, 3)}
         one = {p: FiniteApproxFunction(p, 2, 1, (1, 2)) for p in (2, 3)}
         regions = [
@@ -374,7 +376,7 @@ class TestStreamContract:
                 PlaceSet((2, 3)),
             ),
             Region(
-                ApproxCollection.of(Scaled(ConstantOne(), Fraction(1, 10**400), Fraction(1)), two, 1, 2),
+                ApproxCollection.of(Scaled(PowerLaw(Fraction(4), Fraction(2)), Fraction(1), Fraction(10**400)), two, 1, 2),
                 NormProfile.of(Fraction(9, 4), {2: 2, 3: 2}),
                 PlaceSet((2, 3)),
             ),
