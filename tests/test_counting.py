@@ -24,6 +24,7 @@ from sapprox.approx import (
     psi_one,
 )
 from sapprox.checks import (
+    _count_rescaled,
     check_discrepancy_sandwich,
     check_ladder_counts,
     check_oracle_equivalence,
@@ -932,3 +933,65 @@ class TestPinnedRaises:
     def test_table(self):
         got = {i: args for i, args in shallow_matrix_raises() if args is not None}
         assert got == self.RAISES
+
+
+def brute_force_lines():
+    """One line per seeded request: the brute-force count or the text of its
+    BudgetExceeded, and for N > 1 the count of ``_count_rescaled`` beside
+    it.  The requests cover S in {}, {2}, {2, 3}, {3, 5}, m + n <= 3,
+    finite exponents -n, 0 and n, N in {1, 2, 3, 5} with zero and random
+    shifts, and ConstantOne, power laws, log laws with b = 0, 1/2 and 2,
+    Scaled log laws and user steps, over finite step data with linear
+    tails."""
+    rng = random.Random(20261301)
+    for i in range(200):
+        places = PlaceSet(rng.choice([(), (2,), (2, 3), (3, 5)]))
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 3 - m)
+        c, b = Fraction(rng.randint(2, 12), 2), rng.choice([Fraction(0), Fraction(1, 2), Fraction(2)])
+        real = rng.choice(
+            [
+                ConstantOne(),
+                PowerLaw(Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 4), 2)),
+                LogLaw(c, b),
+                Scaled(LogLaw(c, b), Fraction(1, rng.randint(1, 3)), Fraction(rng.randint(1, 3))),
+                UserStep(
+                    tuple(
+                        (Fraction(k, 2) ** n, Fraction(1, j + 2))
+                        for j, k in enumerate(sorted(rng.sample(range(2, 8), rng.randint(1, 3))))
+                    )
+                ),
+            ]
+        )
+        fin = {}
+        for p in places.primes:
+            head = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(0, 2))))
+            tail = ("linear", rng.randint(1, 2), max(head, default=0)) if rng.random() < 0.3 else ("constant",)
+            fin[p] = FiniteApproxFunction(p, m, n, head, tail)
+        psi = ApproxCollection.of(real, fin, m, n)
+        N = rng.choice([N for N in (1, 2, 3, 5) if places.admissible_modulus(N)])
+        shift = tuple(Fraction(rng.randrange(N)) for _ in range(m + n))
+        if rng.random() < 0.3:
+            shift = ()
+        profile = NormProfile.of(
+            Fraction(rng.randint(1, 6), rng.randint(1, 2)) ** n,
+            {p: n * rng.choice([-1, 0, 1]) for p in places.primes},
+        )
+        cfg = SamplerConfig.of(rng.randrange(2**32), (m, n), places, {p: 8 for p in places.primes}, 2**16)
+        req = CountRequest(places, sample_matrix(cfg), psi, profile, N, shift)
+        out = _outcome(lambda: count_solutions_bruteforce(req, budget=5000))
+        if N > 1 and isinstance(out, int):
+            out = (out, _count_rescaled(req))
+        yield f"{i} {out}"
+
+
+class TestPinnedBruteForce:
+    """A SHA-256 over ``brute_force_lines``, recorded while the brute force
+    tested each place inline and the rescaling check sized its own p box:
+    any count, or any budget refusal, that moves shows here."""
+
+    SHA256 = "f7fd7dba34d0256c55c55d6c40ddc3661303b6bda063155565894fea0a21f4a4"
+
+    def test_table(self):
+        text = "\n".join(brute_force_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256

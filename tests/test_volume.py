@@ -159,6 +159,22 @@ class TestContains:
         y_at[2] = (Fraction(1, 4),)  # ||y||_2 = 4 > 2
         assert not contains(reg, x_at, y_at)
 
+    def test_zero_y_lies_in_every_finite_ball(self):
+        # ||0||_2 = 0 <= T_2 = 2**-1; a nonzero y needs valuation >= 1
+        reg = Region(psi_one(S2, 1, 1), NormProfile.of(Fraction(2), {2: -1}), S2)
+        assert contains_pair(reg, (Fraction(1),), (Fraction(0),))
+        assert not contains_pair(reg, (Fraction(1),), (Fraction(1),))
+        assert contains_pair(reg, (Fraction(1),), (Fraction(2),))
+
+    def test_zero_y_takes_the_x_test_z_0(self):
+        # z_1 = 1 and z_2 = 2, but y = 0 asks only v_2(x) >= 0
+        psi = ApproxCollection.of(ConstantOne(), {2: FiniteApproxFunction(2, 1, 1, (1, 2))}, 1, 1)
+        reg = Region(psi, NormProfile.of(Fraction(2), {2: 2}), S2)
+        assert contains_pair(reg, (Fraction(1),), (Fraction(0),))
+        assert not contains_pair(reg, (Fraction(1, 2),), (Fraction(0),))
+        assert not contains_pair(reg, (Fraction(1),), (Fraction(1, 2),))  # z_1 = 1
+        assert contains_pair(reg, (Fraction(2, 3),), (Fraction(1, 2),))
+
 
 class TestMonteCarlo:
     def test_exact_on_box_region(self):
