@@ -24,6 +24,7 @@ from .approx import (
 )
 from .counting import (
     CountRequest,
+    brute_fibres,
     bruteforce_cost,
     count_solutions,
     count_solutions_bruteforce,
@@ -52,7 +53,6 @@ from .sring import (
     enumerate_box,
     min_valuation,
     padic_valuation,
-    sup_norm,
 )
 from .volume import Region, contains, mc_agrees, volume_exact, volume_monte_carlo
 
@@ -511,41 +511,19 @@ def check_rescale_identity(rng: random.Random, rounds: int = 10):
 
 
 def _count_rescaled(req: CountRequest) -> int:
-    """#u_A(Z_S^d + v/N) in E_{psi'}(T'), enumerated directly."""
+    """#u_A(Z_S^d + v/N) in E_{psi'}(T'), over the brute force's candidates
+    scaled by 1/N: every pair of the rescaled region is (A q + p, q) / N for
+    a candidate (p, q) of the congruence class."""
     rs = rescale_congruence(req.psi, req.profile, req.modulus, req.shift)
     region = Region(rs.psi, rs.profile, req.places)
-    m, n = req.dims
     N = req.modulus
-    S = req.places
-    u_fin = {p: req.profile.exponent(p) // n for p in S.primes}
     count = 0
-    for q in enumerate_box(n, S, req.profile.t_inf, u_fin, (N, req.v_n), u_inf_root=n):
-        qt = tuple(c / N for c in q)
-        g = {
-            pl: [
-                sum(_entry(req, pl, i, j) * qt[j] for j in range(n)) for i in range(m)
-            ]
-            for pl in S.all_places()
-        }
-        sup = rs.psi.real.sup_value()
-        u_inf_p = (sup_norm(g["inf"]) + max(Fraction(1), sup)) * N + N
-        exps = {}
-        for p in S.primes:
-            worst = max((-padic_valuation(c, p) for c in g[p] if c != 0), default=0)
-            exps[p] = max(0, int(worst))
-        for pvec in enumerate_box(m, S, u_inf_p, exps, (N, req.v_m)):
-            pt = tuple(c / N for c in pvec)
-            x_at = {pl: tuple(g[pl][i] + pt[i] for i in range(m)) for pl in S.all_places()}
-            y_at = {pl: qt for pl in S.all_places()}
-            if contains(region, x_at, y_at):
-                count += 1
+    for q, targets, p_box in brute_fibres(req):
+        y_at = dict.fromkeys(targets, [c / N for c in q])
+        for pvec in enumerate_box(*p_box):
+            x_at = {pl: [(c + b) / N for c, b in zip(row, pvec)] for pl, row in targets.items()}
+            count += contains(region, x_at, y_at)
     return count
-
-
-def _entry(req: CountRequest, place, i: int, j: int) -> Fraction:
-    if place == "inf":
-        return req.matrix.real[i][j]
-    return req.matrix.finite_fraction(place, i, j)
 
 
 def check_discrepancy_sandwich(rng: random.Random, rounds: int = 40):

@@ -25,9 +25,10 @@ from typing import Mapping, Sequence
 from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
 from .counting import (
     CountRequest,
-    InsufficientPrecision,
+    TruncatedMatrix,
     count_solutions,
     default_dirichlet_constants,
+    dirichlet_precision_needed,
     dirichlet_solve,
     precision_needed,
 )
@@ -36,6 +37,7 @@ from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
 from .volume import Region, mc_agrees, volume_exact, volume_monte_carlo
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
+LADDER_MODES = ("volume", "count", "asymptotic", "dichotomy")  # the modes --max-T truncates
 
 
 class ConfigError(ValueError):
@@ -246,17 +248,16 @@ def _sampler_config(config: ExperimentConfig, sample_index: int) -> SamplerConfi
     )
 
 
-def _deepened(req: CountRequest) -> tuple[CountRequest, list[str]]:
-    """Deepen the matrix, once and before counting, to the precision the
-    request's box needs (``precision_needed``); returns the request with the
-    deepened matrix and one ``deepen p=.. K=..->..`` event per place."""
+def _deepened(A: TruncatedMatrix, needs: dict[int, int]) -> tuple[TruncatedMatrix, list[str]]:
+    """Deepen the matrix, once and before any search, to the precision
+    ``needs`` names at each place; returns the deepened matrix and one
+    ``deepen p=.. K=..->..`` event per place it deepened."""
     events: list[str] = []
-    A = req.matrix
-    for p, need in precision_needed(req).items():
+    for p, need in needs.items():
         if need > A.K(p):
             events.append(f"deepen p={p} K={A.K(p)}->{need}")
             A = deepen(A, p, need)
-    return dataclasses.replace(req, matrix=A), events
+    return A, events
 
 
 def _sample_records(args) -> list[RunRecord]:
@@ -268,10 +269,9 @@ def _sample_records(args) -> list[RunRecord]:
     N = config.modulus
     d = sum(config.dims)
     start = time.perf_counter()
-    req, events = _deepened(
-        CountRequest(config.places, A, config.psi, profiles[-1], N, config.shift)
-    )
-    counts = count_solutions(req, profiles)
+    req = CountRequest(config.places, A, config.psi, profiles[-1], N, config.shift)
+    A, events = _deepened(A, precision_needed(req))
+    counts = count_solutions(dataclasses.replace(req, matrix=A), profiles)
     elapsed = time.perf_counter() - start
     records = []
     for step, (prof, vol, cnt) in enumerate(zip(profiles, volumes, counts)):
@@ -325,9 +325,9 @@ def run(config: ExperimentConfig, jobs: int = 1, max_product=None) -> RunResult:
     if mode == "dichotomy":
         return _run_dichotomy(config, jobs, max_product)
     if mode == "volume":
-        return _run_volume(config)
+        return _run_volume(config, max_product)
     if mode == "count":
-        return _run_count(config, jobs)
+        return _run_count(config, jobs, max_product)
     if mode == "dirichlet":
         return _run_dirichlet(config)
     raise ConfigError(f"mode {mode!r} is not runnable; use report for re-emission")
@@ -428,8 +428,8 @@ def _run_dichotomy(config, jobs, max_product) -> RunResult:
     return RunResult(config, records, summary)
 
 
-def _run_volume(config) -> RunResult:
-    prof = config.schedule.profiles(config.dims[1])[-1]
+def _run_volume(config, max_product) -> RunResult:
+    prof = config.schedule.profiles(config.dims[1], max_product)[-1]
     region = Region(config.psi, prof, config.places)
     res = volume_exact(region)
     mc = volume_monte_carlo(region, config.mc_samples, derive_seed(config.seed, "mc"))
@@ -461,8 +461,8 @@ def _run_volume(config) -> RunResult:
     return RunResult(config, [record], summary)
 
 
-def _run_count(config, jobs) -> RunResult:
-    profiles = [config.schedule.profiles(config.dims[1])[-1]]
+def _run_count(config, jobs, max_product) -> RunResult:
+    profiles = [config.schedule.profiles(config.dims[1], max_product)[-1]]
     volumes = _ladder_volumes(config, profiles)
     records = _run_samples(config, profiles, volumes, jobs)
     summary = {
@@ -487,14 +487,9 @@ def _run_dirichlet(config) -> RunResult:
         scfg = _sampler_config(config, i)
         A = sample_matrix(scfg)
         start = time.perf_counter()
-        events = []
-        while True:  # dirichlet_solve verifies its pair before returning it
-            try:
-                pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
-                break
-            except InsufficientPrecision as exc:
-                events.append(f"deepen p={exc.place} K={exc.available}->{exc.needed}")
-                A = deepen(A, exc.place, exc.needed)
+        A, events = _deepened(A, dirichlet_precision_needed(A, prof, config.places, constants))
+        # dirichlet_solve verifies its pair before returning it
+        pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
         elapsed = time.perf_counter() - start
         solved += 1
         records.append(
@@ -756,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--max-T",
             type=float,
-            help="truncate the ladder once prod T_p exceeds this",
+            help="truncate the ladder once prod T_p exceeds this (" + ", ".join(LADDER_MODES) + ")",
         )
         sp.add_argument(
             "--format",
@@ -794,6 +789,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_T is not None and not (0 < args.max_T < math.inf):
         parser.error(f"--max-T must be a positive finite number, got {args.max_T}")
+    if args.max_T is not None and args.mode not in LADDER_MODES:
+        parser.error(f"--max-T applies only to the {', '.join(LADDER_MODES)} modes, not {args.mode}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.mode == "report":

@@ -41,8 +41,9 @@ p**(j_p + v_p(D)).
 - The fibre oracle takes D = prod p**max(kappa_p, 0) for its one q (its
   j_p >= 0); each draw X_p gives the residues, folded over fixed moduli.
 
-A direct brute-force twin checks every candidate pair against the defining
-inequalities and serves as the oracle for the fast path.
+A direct brute-force twin decides every candidate pair with
+``volume.contains``, the one membership test of the region, and serves as
+the oracle for the fast path.
 """
 
 from __future__ import annotations
@@ -177,14 +178,9 @@ class CountRequest:
         m, n = self.matrix.shape
         if (self.psi.m, self.psi.n) != (m, n):
             raise ValueError("psi dimensions do not match the matrix")
-        self.psi.check_places(self.places)
+        self.region()  # checks the psi and profile places and the exponents
         if tuple(p for p, _ in self.matrix.finite) != self.places.primes:
             raise ValueError("matrix places do not match the place set")
-        if tuple(p for p, _ in self.profile.fin_exp) != self.places.primes:
-            raise ValueError("profile places do not match the place set")
-        for p, e in self.profile.fin_exp:
-            if e % n != 0:
-                raise ValueError(f"profile exponent at {p} must be a multiple of n={n}")
         if not self.places.admissible_modulus(self.modulus):
             raise ValueError(
                 f"modulus {self.modulus} is not coprime to the finite places"
@@ -551,9 +547,11 @@ def _check_ladder(req: CountRequest, ladder) -> list[NormProfile]:
 # brute-force oracle
 
 
-def _brute_fibres(req: CountRequest) -> Iterator[tuple]:
-    """Per q of the box, what the brute force checks each candidate p
-    against, with the arguments of the p box it walks."""
+def brute_fibres(req: CountRequest) -> Iterator[tuple]:
+    """Per q of the box, (q, targets, p_box): ``targets`` maps each place to
+    the row values A_p q (the real rows, then the representative rows at
+    each prime), and ``p_box`` holds the arguments of the box of candidate
+    p, which holds every p with (A q + p, q) in the region."""
     m, n = req.dims
     S = req.places
     N = req.modulus
@@ -562,68 +560,47 @@ def _brute_fibres(req: CountRequest) -> Iterator[tuple]:
     cong_q = (N, req.v_n) if N > 1 else None
     cong_p = (N, req.v_m) if N > 1 else None
     for q in enumerate_box(n, S, req.profile.t_inf, u_fin, cong_q, u_inf_root=n):
-        # exact targets per place, from the matrix representatives
         g = [sum(req.matrix.real[i][j] * q[j] for j in range(n)) for i in range(m)]
-        c_fin = {
-            p: [
-                sum(req.matrix.finite_fraction(p, i, j) * q[j] for j in range(n))
-                for i in range(m)
-            ]
-            for p in S.primes
-        }
-        t_real = sup_norm(q) ** n if any(q) else Fraction(0)
-        thresholds = {}
+        targets = {REAL_PLACE: g}
         p_box_exp = {}
         for p in S.primes:
+            c = [sum(req.matrix.finite_fraction(p, i, j) * q[j] for j in range(n)) for i in range(m)]
+            targets[p] = c
             mv = min_valuation(q, p)
             j = 0 if mv is None else req.psi.finite_fn(p).z_at_block(-mv)
-            thresholds[p] = j
-            worst = max((-padic_valuation(c, p) for c in c_fin[p] if c != 0), default=0)
+            worst = max((-padic_valuation(x, p) for x in c if x != 0), default=0)
             p_box_exp[p] = max(0, int(worst), -j)
         u_inf_p = sup_norm(g) + max(Fraction(1), sup) if any(g) else max(Fraction(1), sup)
-        yield g, c_fin, t_real, thresholds, (m, S, u_inf_p, p_box_exp, cong_p)
+        yield q, targets, (m, S, u_inf_p, p_box_exp, cong_p)
 
 
 def bruteforce_cost(req: CountRequest) -> int:
     """The number of candidate pairs ``count_solutions_bruteforce(req)``
     checks: the closed-form size of each q's p box, summed over the q box."""
-    return sum(box_size(*fibre[-1]) for fibre in _brute_fibres(req))
+    return sum(box_size(*p_box) for *_, p_box in brute_fibres(req))
 
 
 def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> int:
-    """Direct enumeration of candidate pairs, checking the defining
-    inequalities per place.  Small profiles only; this is the oracle the
-    fast counter is validated against.  A first pass sums the closed-form
-    p-box sizes and raises BudgetExceeded, before any pair is checked, once
-    the sum passes ``budget``."""
-    m, _ = req.dims
-    S = req.places
+    """Direct enumeration of candidate pairs, each decided by ``contains``.
+    Small profiles only; this is the oracle the fast counter is validated
+    against.  A first pass sums the closed-form p-box sizes and raises
+    BudgetExceeded, before any pair is checked, once the sum passes
+    ``budget``."""
     spent = 0
-    for *_, p_box in _brute_fibres(req):
+    for *_, p_box in brute_fibres(req):
         spent += box_size(*p_box)
         if spent > budget:
             raise BudgetExceeded(
                 f"brute force needs more than {budget} candidate pairs; "
                 "shrink the profile or pass a larger budget"
             )
+    region = req.region()
     total = 0
-    for g, c_fin, t_real, thresholds, p_box in _brute_fibres(req):
+    for q, targets, p_box in brute_fibres(req):
+        y_at = dict.fromkeys(targets, q)
         for pvec in enumerate_box(*p_box):
-            ok = True
-            for p in S.primes:
-                j = thresholds[p]
-                for i in range(m):
-                    val = padic_valuation(c_fin[p][i] + pvec[i], p)
-                    if val < j:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                lhs = sup_norm([g[i] + pvec[i] for i in range(m)]) ** m
-                ok = req.psi.real.leq_value(lhs, t_real)
-            if ok:
-                total += 1
+            x_at = {place: [c + b for c, b in zip(row, pvec)] for place, row in targets.items()}
+            total += contains(region, x_at, y_at)
     return total
 
 
@@ -674,21 +651,13 @@ def dirichlet_solve(
     the pigeonhole guarantee forbids) raises SearchExhausted.
     """
     m, n = matrix.shape
-    if profile.t_inf < 1 or any(e < 0 for _, e in profile.fin_exp):
-        raise ValueError("Dirichlet systems need T_p >= 1 at every place")
     consts = default_dirichlet_constants(places, m, constants)
 
     Dq, D, M, fin = 1, 1, 1, []
-    for p in places.primes:
-        u, C = profile.exponent(p), consts[p]
-        # smallest j with p^(-jm) <= C p^(-un)
-        j = math.ceil((u * n - math.log(C) / math.log(p)) / m) - 2
-        while Fraction(p) ** (u * n - j * m) > C:
-            j += 1
+    for p, u, j, need in _dirichlet_exponents(profile, places, consts, m, n):
         e = max(u, -j)
         Dq, D, M = Dq * p**u, D * p**e, M * p ** (j + e)
-        # a q with v_p(q) = -kappa needs K_p >= max(j, 0) + kappa
-        fin.append((p, max(j, 0) + u, matrix.K(p)))
+        fin.append((p, need, matrix.K(p)))
     lam = D // Dq
     W = [[-lam * x % M for x in row] for row in _crt_rows(matrix)]
     # With real rows A_i / R, p_i = b_i / D lies in the real window iff
@@ -728,6 +697,32 @@ def dirichlet_solve(
             verify_dirichlet(matrix, profile, places, consts, pvec, q)
             return pvec, q
     raise SearchExhausted("no solution in the guaranteed box; this is a bug")
+
+
+def _dirichlet_exponents(profile: NormProfile, places: PlaceSet, consts, m: int, n: int):
+    """(p, u_p, j_p, need_p) per prime of S: T_p = p**u_p, j_p the smallest
+    j with p**(-j m) <= C_p p**(-u_p n), and need_p = max(j_p, 0) + u_p the
+    precision K_p that a q with v_p(q) = -u_p needs (a q with v_p(q) =
+    -kappa needs max(j_p, 0) + kappa)."""
+    if profile.t_inf < 1 or any(e < 0 for _, e in profile.fin_exp):
+        raise ValueError("Dirichlet systems need T_p >= 1 at every place")
+    for p in places.primes:
+        u, C = profile.exponent(p), consts[p]
+        j = math.ceil((u * n - math.log(C) / math.log(p)) / m) - 2
+        while Fraction(p) ** (u * n - j * m) > C:
+            j += 1
+        yield p, u, j, max(j, 0) + u
+
+
+def dirichlet_precision_needed(
+    matrix: TruncatedMatrix, profile: NormProfile, places: PlaceSet, constants: Mapping | None = None
+) -> dict[int, int]:
+    """The matrix precision K_p at each finite place with which
+    ``dirichlet_solve`` never raises InsufficientPrecision: the need of the
+    whole guaranteed box, max(j_p, 0) + u_p."""
+    m, n = matrix.shape
+    consts = default_dirichlet_constants(places, m, constants)
+    return {p: need for p, _, _, need in _dirichlet_exponents(profile, places, consts, m, n)}
 
 
 def _by_height(dim: int, bound: int) -> Iterator[tuple[int, ...]]:

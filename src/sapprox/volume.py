@@ -155,29 +155,26 @@ def contains(
     x_at: Mapping[object, Sequence[Fraction]],
     y_at: Mapping[object, Sequence[Fraction]],
 ) -> bool:
-    """Exact membership of an adelic point, given per-place rational coordinates."""
+    """Exact membership of an adelic point, given per-place rational
+    coordinates.  This is the one definition of E_psi(T) that the brute-force
+    counts use.  The finite places go first, being the cheaper rejection; a
+    zero y lies in every finite ball and takes the x test z = 0."""
     m, n = region.m, region.n
     for place in region.places.all_places():
-        x = tuple(Fraction(c) for c in x_at[place])
-        y = tuple(Fraction(c) for c in y_at[place])
-        if len(x) != m or len(y) != n:
+        if len(x_at[place]) != m or len(y_at[place]) != n:
             raise ValueError("point dimensions do not match the region")
-        if place == REAL_PLACE:
-            ax, ay = sup_norm(x), sup_norm(y)
-            if not _real_member(region)(ax.numerator, ax.denominator, ay.numerator, ay.denominator):
+    for p in region.places.primes:
+        mv_y = min_valuation(y_at[p], p)
+        z = 0
+        if mv_y is not None:
+            if -mv_y * n > region.profile.exponent(p):
                 return False
-        else:
-            p = place
-            fn = region.psi.finite_fn(p)
-            mv_y = min_valuation(y, p)
-            kappa = None if mv_y is None else -mv_y
-            if kappa is not None and kappa * n > region.profile.exponent(p):
-                return False
-            z = 0 if kappa is None else fn.z_at_block(kappa)
-            mv_x = min_valuation(x, p)
-            if mv_x is not None and mv_x < z:
-                return False
-    return True
+            z = region.psi.finite_fn(p).z_at_block(-mv_y)
+        mv_x = min_valuation(x_at[p], p)
+        if mv_x is not None and mv_x < z:
+            return False
+    ax, ay = sup_norm(x_at[REAL_PLACE]), sup_norm(y_at[REAL_PLACE])
+    return _real_member(region)(ax.numerator, ax.denominator, ay.numerator, ay.denominator)
 
 
 def contains_pair(region: Region, x_vec: Sequence[Fraction], y_vec: Sequence[Fraction]) -> bool:

@@ -28,9 +28,10 @@ from sapprox.cli import (
     result_from_json,
     run,
 )
-from sapprox.counting import CountRequest, count_solutions_bruteforce, dirichlet_solve
+from sapprox.counting import CountRequest, count_solutions, count_solutions_bruteforce, dirichlet_solve
 from sapprox.sampler import SamplerConfig, deepen, sample_matrix
 from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
+from sapprox.volume import Region, volume_exact
 
 
 def small_asymptotic(seed=20260810, samples=3, steps=4):
@@ -198,10 +199,13 @@ class TestConfig:
             (["dichotomy", "--max-T", "5"], "dichotomy mode needs at least four ladder steps"),
             (["count", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["count", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["dirichlet", "--max-T", "5"], "--max-T applies only to the volume, count, asymptotic, dichotomy"),
+            (["verify", "--max-T", "5"], "--max-T applies only to the volume, count, asymptotic, dichotomy"),
+            (["report", "--max-T", "5"], "--max-T applies only to the volume, count, asymptotic, dichotomy"),
         ],
     )
     def test_config_error_is_a_usage_error(self, argv, message, capsys):
-        # one from load_config, one from run, two from main
+        # one from load_config, one from run, five from main
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -221,6 +225,22 @@ class TestRunAndReports:
         res = run(cfg)
         assert res.summary["exact"] == "16"
         assert res.summary["agrees_within_4se"]
+
+    def test_count_and_volume_modes_truncate_at_max_T(self):
+        max_product = Fraction(20)
+        cfg = dataclasses.replace(default_config("count"), sample_count=2)
+        prof = cfg.schedule.profiles(cfg.dims[1], max_product)[-1]
+        assert prof != cfg.schedule.profiles(cfg.dims[1])[-1]
+        res = run(cfg, max_product=max_product)
+        assert len(res.summary["counts"]) == 2
+        for rec, count in zip(res.records, res.summary["counts"]):
+            A = sample_matrix(
+                SamplerConfig.of(rec.seed, cfg.dims, cfg.places, dict(cfg.precision), cfg.real_resolution)
+            )
+            assert count == count_solutions(CountRequest(cfg.places, A, cfg.psi, prof))
+        cfg = dataclasses.replace(default_config("volume"), mc_samples=2000)
+        res = run(cfg, max_product=max_product)
+        assert res.summary["exact"] == str(volume_exact(Region(cfg.psi, prof, cfg.places)).total)
 
     def test_asymptotic_summary_and_reports(self, tmp_path):
         cfg = dataclasses.replace(small_asymptotic(), out=str(tmp_path))

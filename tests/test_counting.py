@@ -425,6 +425,9 @@ class TestBruteForceBudget:
     def test_budget_is_checked_before_any_pair(self):
         # a real part that refuses every comparison: only a walk calls it
         class NoWalk(ConstantOne):
+            def value_triple(self, tn, td):
+                raise AssertionError("the brute force walked before its budget check")
+
             def leq_value(self, lhs, t):
                 raise AssertionError("the brute force walked before its budget check")
 
