@@ -38,12 +38,16 @@ the verdict with the value of a convergent integral; ``diverges`` returns
 the verdict alone, from the rule and the finite places' closed-form sums,
 so a campaign decides it without integrating the real place to infinity.
 
-mpmath is imported inside the functions that use it, so a run whose psi
-has closed forms never pays for loading it.
+Only the log law loads mpmath: its interval fallbacks and its quadrature
+import it inside the functions that use it.  The power law's non-rational
+values (the a = 1 logarithm, the root c**(1/a), the power T**(1-a) and the
+float of a :class:`RootVal`) run in 40-digit ``decimal`` arithmetic, which
+``fractions`` loads anyway.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -75,9 +79,8 @@ class RootVal:
     root: int
 
     def __float__(self) -> float:
-        import mpmath
-
-        return float(mpmath.root(mpmath.mpf(self.num) / self.den, self.root))
+        with decimal.localcontext(_DEC40):
+            return float(_dec_root(Fraction(self.num, self.den), self.root))
 
 
 def make_root(num: int, den: int, root: int) -> Fraction | RootVal:
@@ -112,21 +115,27 @@ def _to_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
-def _root_mpf(c: Fraction, a: Fraction) -> mpmath.mpf:
-    """c ** (1/a) at the current working precision."""
-    import mpmath
-
-    return mpmath.exp(mpmath.log(_to_mpf(c)) / _to_mpf(a))
+#: 40 significant digits, the precision of every non-rational power-law value
+_DEC40 = decimal.Context(prec=40)
 
 
-def _mpf_with_error(expr) -> tuple[float, float]:
-    """Evaluate a closed-form positive expression at high precision and
-    report it with a generous absolute error bound."""
-    import mpmath
+def _dec(x) -> decimal.Decimal:
+    """A rational as a Decimal, rounded to the current context."""
+    x = Fraction(x)
+    return decimal.Decimal(x.numerator) / x.denominator
 
-    with mpmath.workdps(40):
+
+def _dec_root(x: Fraction, a) -> decimal.Decimal:
+    """x ** (1/a) for positive rationals x and a, at the current precision."""
+    return (_dec(x).ln() / _dec(a)).exp()
+
+
+def _dec_with_error(expr) -> tuple[float, float]:
+    """Evaluate a closed-form positive expression in 40-digit decimal
+    arithmetic and report it with a generous absolute error bound."""
+    with decimal.localcontext(_DEC40):
         v = expr()
-        err = abs(v) * mpmath.mpf("1e-30") + mpmath.mpf("1e-30")
+        err = abs(v) * decimal.Decimal("1e-30") + decimal.Decimal("1e-30")
         return float(v), float(err)
 
 
@@ -287,15 +296,17 @@ class PowerLaw(RealApproxFunction):
             if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
                 return T, Fraction(0)
         r0 = _exact_pow(self.c, 1 / self.a)
+
+        def root():  # c ** (1/a)
+            return _dec(r0) if r0 is not None else _dec_root(self.c, self.a)
+
         if self.a == 1:
 
             def log_expr():
-                import mpmath
+                r = root()
+                return r + _dec(self.c) * (_dec(T) / r).ln()
 
-                r = _to_mpf(r0) if r0 is not None else _root_mpf(self.c, self.a)
-                return r + _to_mpf(self.c) * mpmath.log(_to_mpf(T) / r)
-
-            return _mpf_with_error(log_expr)
+            return _dec_with_error(log_expr)
         if r0 is not None:
             # T**(1-a) vanishes at T = inf, where a > 1
             t_pow = Fraction(0) if to_inf else _exact_pow(T, 1 - self.a)
@@ -305,11 +316,11 @@ class PowerLaw(RealApproxFunction):
                 return r0 + (self.c * t_pow - r0) / (1 - self.a), Fraction(0)
 
         def pow_expr():
-            r = _to_mpf(r0) if r0 is not None else _root_mpf(self.c, self.a)
-            t_pow = 0 if to_inf else _to_mpf(T) ** _to_mpf(1 - self.a)
-            return r + (_to_mpf(self.c) * t_pow - r) / _to_mpf(1 - self.a)
+            r = root()
+            t_pow = 0 if to_inf else _dec(T) ** _dec(1 - self.a)
+            return r + (_dec(self.c) * t_pow - r) / _dec(1 - self.a)
 
-        return _mpf_with_error(pow_expr)
+        return _dec_with_error(pow_expr)
 
     def to_json(self):
         return {"kind": "power-law", "c": str(self.c), "a": str(self.a)}

@@ -112,7 +112,8 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
 
     Returns math.inf for x = 0.
     """
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x == 0:
         return math.inf
     return _kernel.valuation(x.numerator, p) - _kernel.valuation(x.denominator, p)
@@ -128,7 +129,7 @@ def padic_norm(x: Fraction | int, p: int) -> Fraction:
 
 def sup_norm(v: Sequence[Fraction]) -> Fraction:
     """The real-place norm: max of coordinate absolute values."""
-    return max(abs(Fraction(c)) for c in v)
+    return max(abs(c if type(c) is Fraction else Fraction(c)) for c in v)
 
 
 def norm_at(v: Sequence[Fraction], place) -> Fraction:
@@ -148,7 +149,8 @@ def min_valuation(v: Sequence[Fraction], p: int) -> int | None:
     """min_j v_p(v_j), or None for the zero vector."""
     best = None
     for c in v:
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c == 0:
             continue
         w = padic_valuation(c, p)

@@ -21,8 +21,8 @@ of the draws, cross-multiplied as in ``RealApproxFunction.leq_value``;
 ``contains`` runs the same test on rational points.  Two cuts taken from
 that test once per call decide most draws by float comparisons: y_cut, the
 largest float y with y**n <= T_inf, and the flat corner (x_flat, y_flat),
-inside which psi is still its sup.  Each finite place is one gcd of its
-residues.  The bounding box volume is exact, so the only error is binomial.
+inside which psi is still its sup.  Each finite place is a running gcd of
+its residues.  The bounding box volume is exact, so the only error is binomial.
 """
 
 from __future__ import annotations
@@ -281,14 +281,15 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     deterministic given (seed, samples), and independent of how blocks would
     be distributed across workers.
 
-    Each real coordinate is an exact dyadic rational.  Three floats, each the
-    largest passing its exact test (``_real_cuts``), decide most draws: a y
-    sup norm above y_cut misses; at or below y_flat the draw is in exactly
-    when the x sup norm is at most x_flat; every other draw runs
-    ``_real_member`` on the integer ratios.  At a finite place
-    gcd(p**depth, *y residues) is p**(min valuation), which a per-call dict
-    maps to the x test p**z (0 for none); the x residues pass when p**z
-    divides their gcd.
+    Each real coordinate is an exact dyadic rational, and each sup norm a
+    running max over the draws.  Three floats, each the largest passing its
+    exact test (``_real_cuts``), decide most draws: a y sup norm above y_cut
+    misses; at or below y_flat the draw is in exactly when the x sup norm is
+    at most x_flat; every other draw runs ``_real_member`` on the integer
+    ratios.  At a finite place the running gcd of p**depth and the y residues
+    is p**(min valuation), which a per-call dict maps to the x test p**z (0
+    for none); the x residues pass when p**z divides their running gcd.  The
+    loop inlines the residue draws and builds no per-sample list.
     """
     check_sample_count(samples)
     m, n = region.m, region.n
@@ -343,16 +344,16 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         count = min(block, samples - start)
         rng = random.Random(derive_seed(seed, "mc-block", block_index))
         rand, bits = rng.random, rng.getrandbits
-
-        def below(mod: int, k: int) -> int:
-            r = bits(k)
-            while r >= mod:
-                r = bits(k)
-            return r
-
         for _ in range(count):
-            ax = max([abs(x0 + wx * rand()) for _ in range(m)])
-            ay = max([abs(y0 + wy * rand()) for _ in range(n)])
+            ax = ay = 0.0
+            for _ in range(m):
+                v = abs(x0 + wx * rand())
+                if v > ax:
+                    ax = v
+            for _ in range(n):
+                v = abs(y0 + wy * rand())
+                if v > ay:
+                    ay = v
             if ay > y_cut:
                 ok = False
             elif ay <= y_flat:
@@ -360,11 +361,20 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
             else:
                 ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
             for my, ky, mx, kx, x_test in fin_data:
-                ys = [below(my, ky) for _ in range(n)]
-                xs = [below(mx, kx) for _ in range(m)]
+                gy, gx = my, 0
+                for _ in range(n):
+                    r = bits(ky)
+                    while r >= my:
+                        r = bits(ky)
+                    gy = gcd(gy, r)
+                for _ in range(m):
+                    r = bits(kx)
+                    while r >= mx:
+                        r = bits(kx)
+                    gx = gcd(gx, r)
                 if ok:
-                    pz = x_test[gcd(my, *ys)]
-                    if pz and gcd(*xs) % pz:
+                    pz = x_test[gy]
+                    if pz and gx % pz:
                         ok = False
                         break
             hits += ok

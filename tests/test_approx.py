@@ -1,6 +1,8 @@
 """Approximation-function collections: validation, evaluation, divergence."""
 
+import collections
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from sapprox.approx import (
     Scaled,
     UndecidedComparison,
     UserStep,
+    _exact_pow,
     diverges,
     evaluate,
     inflate,
@@ -217,6 +220,76 @@ class TestPinnedIntegrals:
         assert len(lines) == 396
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SHA256
+
+
+def reference_power_integral(fn: PowerLaw, T) -> tuple:
+    """``PowerLaw.integral_to`` as first written: the non-rational closed
+    forms (the a = 1 logarithm, the root c**(1/a) and the power T**(1-a))
+    evaluated in 40-digit mpmath.  The decimal evaluation must give the same
+    floats."""
+
+    def mpf(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+
+    c, a = fn.c, fn.a
+    to_inf = T == math.inf
+    if to_inf:
+        if fn.tail_diverges():
+            return math.inf, 0
+    elif fn.value_triple(T.numerator, T.denominator) == (1, 1, 1):
+        return T, Fraction(0)
+    r0 = _exact_pow(c, 1 / a)
+    if a != 1 and r0 is not None:
+        t_pow = Fraction(0) if to_inf else _exact_pow(T, 1 - a)
+        if t_pow is not None:
+            return r0 + (c * t_pow - r0) / (1 - a), Fraction(0)
+    with mpmath.workdps(40):
+        r = mpf(r0) if r0 is not None else mpmath.exp(mpmath.log(mpf(c)) / mpf(a))
+        if a == 1:
+            v = r + mpf(c) * mpmath.log(mpf(T) / r)
+        else:
+            t_pow = 0 if to_inf else mpf(T) ** mpf(1 - a)
+            v = r + (mpf(c) * t_pow - r) / mpf(1 - a)
+        err = abs(v) * mpmath.mpf("1e-30") + mpmath.mpf("1e-30")
+        return float(v), float(err)
+
+
+class TestPowerLawClosedForms:
+    """The power law's non-rational integrals against the 40-digit mpmath
+    evaluation they replaced, on seeded (c, a, T) with T = inf included."""
+
+    def test_matches_the_mpmath_reference(self):
+        rng = random.Random("power-law-closed-forms")
+        branches = collections.Counter()
+        for _ in range(500):
+            c = rng.choice((Fraction(rng.randint(1, 10**6)), 1 + Fraction(rng.randint(0, 999), rng.randint(1, 1000))))
+            a = rng.choice((Fraction(1), Fraction(rng.randint(1, 12), rng.randint(1, 6)), Fraction(rng.randint(1, 40), rng.randint(1, 40))))
+            u = rng.random()
+            if u < 0.25:
+                T = math.inf
+            elif u < 0.4:
+                T = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**5))
+            else:
+                T = Fraction(rng.randint(1, 10 ** rng.randint(1, 8)), rng.randint(1, 100))
+            fn = PowerLaw(c, a)
+            got = fn.integral_to(T)
+            assert repr(got) == repr(reference_power_integral(fn, T)), (c, a, T)
+            if isinstance(got[0], float) and got[0] != math.inf:
+                branches["log" if a == 1 else "inf" if T == math.inf else "finite"] += 1
+        # the logarithm, the root at T = inf and the power at finite T all ran
+        assert min(branches[k] for k in ("log", "inf", "finite")) >= 40, branches
+
+    def test_root_float_is_the_nearest_float(self):
+        # 60-digit mpmath as the reference; mpmath.root at its default 53 bits,
+        # which float(RootVal) once took, was off by one ulp on about 8 % of these
+        rng = random.Random("root-float")
+        for _ in range(500):
+            num, den = rng.randint(1, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30))
+            root = rng.randint(2, 7)
+            with mpmath.workdps(60):
+                want = float(mpmath.root(mpmath.mpf(num) / den, root))
+            assert float(RootVal(num, den, root)) == want, (num, den, root)
 
 
 class TestLogLawFloat:

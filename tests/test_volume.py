@@ -3,15 +3,20 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sapprox
 from sapprox import _kernel
 from sapprox.approx import (
     ApproxCollection,
@@ -505,6 +510,43 @@ class TestPinnedFiniteMonteCarlo:
         assert len(lines) == 80
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SHA256
+
+
+class TestMpmathFree:
+    def test_power_law_volumes_never_load_mpmath(self):
+        # the power law's non-rational integrals run in decimal arithmetic:
+        # a = 1, an irrational c**(1/a) at T = 9/2, a rational root 4 with an
+        # irrational T**(-1/2) at T = 5, and both irrational at T = 7
+        script = """
+import random, sys
+from fractions import Fraction
+from sapprox import checks
+from sapprox.approx import ApproxCollection, FiniteApproxFunction, PowerLaw, Scaled
+from sapprox.sring import NormProfile, PlaceSet
+from sapprox.volume import Region, volume_exact, volume_monte_carlo
+S = PlaceSet((2,))
+fin = {2: FiniteApproxFunction(2, 1, 1, (0, 1))}
+regions = [
+    Region(ApproxCollection.of(real, fin, 1, 1), NormProfile.of(Fraction(t), {2: 1}), S)
+    for real, t in (
+        (PowerLaw(2, 1), 9),
+        (PowerLaw(2, 2), Fraction(9, 2)),
+        (PowerLaw(8, Fraction(3, 2)), 5),
+        (Scaled(PowerLaw(3, Fraction(5, 2)), Fraction(3, 2), Fraction(2, 3)), 7),
+    )
+]
+floats = [isinstance(volume_exact(reg).total, float) for reg in regions]
+rng = random.Random(17)
+regions += [checks.random_region(rng) for _ in range(12)]
+for reg in regions:
+    volume_exact(reg)
+    volume_monte_carlo(reg, 200, 5)
+print(floats, "mpmath" in sys.modules)
+"""
+        src = str(Path(sapprox.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[True, True, True, True] False"
 
 
 class TestMonotonicityAndScaling:
