@@ -295,18 +295,14 @@ class PowerLaw(RealApproxFunction):
             T = Fraction(T)
             if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
                 return T, Fraction(0)
-        r0 = _exact_pow(self.c, 1 / self.a)
-
-        def root():  # c ** (1/a)
-            return _dec(r0) if r0 is not None else _dec_root(self.c, self.a)
-
-        if self.a == 1:
+        if self.a == 1:  # the plateau ends at t = c
 
             def log_expr():
-                r = root()
-                return r + _dec(self.c) * (_dec(T) / r).ln()
+                c = _dec(self.c)
+                return c + c * (_dec(T) / c).ln()
 
             return _dec_with_error(log_expr)
+        r0 = _exact_pow(self.c, 1 / self.a)
         if r0 is not None:
             # T**(1-a) vanishes at T = inf, where a > 1
             t_pow = Fraction(0) if to_inf else _exact_pow(T, 1 - self.a)
@@ -316,7 +312,7 @@ class PowerLaw(RealApproxFunction):
                 return r0 + (self.c * t_pow - r0) / (1 - self.a), Fraction(0)
 
         def pow_expr():
-            r = root()
+            r = _dec(r0) if r0 is not None else _dec_root(self.c, self.a)
             t_pow = 0 if to_inf else _dec(T) ** _dec(1 - self.a)
             return r + (_dec(self.c) * t_pow - r) / _dec(1 - self.a)
 
