@@ -14,12 +14,13 @@ of a rational).  Each real kind therefore evaluates exactly in one place,
 from it: the exact value (a Fraction or :class:`RootVal`), the comparison
 lhs <= psi(t) and the integer root threshold all cross-multiply integers.
 Only the logarithmic family with b > 0 has no exact value (its triple is
-None).  Its root thresholds are float-first: one float evaluation of the
-law in the log domain, with a proven error budget, gives ``root_bracket``,
-an integer bracket around the exact threshold that the counter uses to
-decide every fibre that is not a near-tie (the filtered-predicate pattern
-of Shewchuk 1997 and Bronnimann, Burnikel and Pion 2001).  A near-tie, and
-every comparison lhs <= psi(t), runs in rigorous interval arithmetic with
+None).  Its decisions are float-first: one float evaluation of the law in
+the log domain, with a proven error budget, gives ``root_bracket``, an
+integer bracket around the exact root threshold that the counter uses to
+decide every fibre that is not a near-tie, and decides the comparison
+lhs <= psi(t) whenever ln lhs and ln psi(t) differ by more than the slack
+(the filtered-predicate pattern of Shewchuk 1997 and Bronnimann, Burnikel
+and Pion 2001).  Only a near-tie runs in rigorous interval arithmetic with
 escalating precision, which raises :class:`UndecidedComparison` on a
 persistent tie instead of ever miscounting.
 
@@ -175,7 +176,9 @@ class RealApproxFunction:
     A kind defines ``value_triple``, its one exact evaluation; the base class
     derives ``value_exact``, ``leq_value`` and ``max_root_leq`` from it.  A
     kind whose triple can be None (the log law with b > 0) overrides those
-    two comparisons with interval fallbacks.
+    two comparisons: ``leq_value`` decides in floats first, and only a
+    near-tie falls back to interval arithmetic, as does every
+    ``max_root_leq`` (the counter asks ``root_bracket`` first).
     """
 
     def value_triple(self, tn: int, td: int) -> tuple[int, int, int] | None:
@@ -327,9 +330,9 @@ class LogLaw(RealApproxFunction):
     """psi(t) = min(1, c / (t * (ln t)**b)) for t > 1, and 1 on (0, 1].
 
     c > 0, b >= 0.  The classical borderline family: the tail integral
-    converges exactly when b > 1.  Values are transcendental, so root
-    thresholds are bracketed in floats with a proven error budget
-    (``_log_g``), and comparisons and near-ties run in interval arithmetic.
+    converges exactly when b > 1.  Values are transcendental, so comparisons
+    and root thresholds are decided in floats with a proven error budget
+    (``_log_g``), and near-ties run in interval arithmetic.
     """
 
     c: Fraction
@@ -400,6 +403,12 @@ class LogLaw(RealApproxFunction):
           float range.  The sum, the division and exp add at most
           u(1126 + 1024)(1 + 1) + 2u = 4.8e-13.  So the relative error of
           the root is below 1e-12 + 5.7e-13 + 4.8e-13 < 2.1e-12.
+        - ``leq_value`` compares ln lhs with ln g for 0 < lhs <= 1 and
+          |ln lhs| <= 1024.  ln lhs adds at most 5.7e-13 and the
+          subtraction u(1024 + 1126) = 2.4e-13, so ln lhs - ln g is within
+          1e-12 + 5.7e-13 + 2.4e-13 < 1.9e-12 of the true difference, and
+          its sign is the answer once it exceeds the slack.  A decided
+          ln g > 0 is the plateau, g > 1, where psi = 1 >= lhs.
 
         The slack 1e-9 covers this by a factor of more than 450.  So a
         float decision stays sound even if libm were off by a few
@@ -456,8 +465,16 @@ class LogLaw(RealApproxFunction):
         t, lhs = Fraction(t), Fraction(lhs)
         if lhs > 1:
             return False
-        if t <= 1 or self.b == 0:
+        if t <= 1 or self.b == 0 or lhs <= 0:
             return super().leq_value(lhs, t)
+        ln_g, decided = self._log_g(t)
+        if decided:
+            if ln_g > 0:  # plateau: psi = 1 exactly, and lhs <= 1
+                return True
+            ln_lhs = _ln(lhs)
+            # ln lhs - ln g is within 1.9e-12 of the true difference (_log_g)
+            if abs(ln_lhs) <= _LN_CAP and abs(ln_lhs - ln_g) > FILTER_SLACK:
+                return ln_lhs < ln_g
         import mpmath
 
         def decide(g):

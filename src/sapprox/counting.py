@@ -598,8 +598,17 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
     total = 0
     for q, targets, p_box in brute_fibres(req):
         y_at = dict.fromkeys(targets, q)
-        for pvec in enumerate_box(*p_box):
-            x_at = {place: [c + b for c, b in zip(row, pvec)] for place, row in targets.items()}
+        D, reps = enumerate_box_raw(*p_box)
+        # the candidate p is a / D, so x = c + p = (c_num * D + a * c_den) / (c_den * D)
+        rows = {
+            place: [(c.numerator * D, c.denominator, c.denominator * D) for c in row]
+            for place, row in targets.items()
+        }
+        for a in reps:
+            x_at = {
+                place: [Fraction(cn + aj * cd, den) for (cn, cd, den), aj in zip(row, a)]
+                for place, row in rows.items()
+            }
             total += contains(region, x_at, y_at)
     return total
 

@@ -288,8 +288,11 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     at most x_flat; every other draw runs ``_real_member`` on the integer
     ratios.  At a finite place the running gcd of p**depth and the y residues
     is p**(min valuation), which a per-call dict maps to the x test p**z (0
-    for none); the x residues pass when p**z divides their running gcd.  The
-    loop inlines the residue draws and builds no per-sample list.
+    for none); the x residues pass when p**z divides their running gcd.  A
+    place that cannot reject only draws its residues, with the same
+    rejection loops, and takes no gcd: a place whose x test is 0 at every y
+    valuation (decided once per call), and every place after a real-place
+    miss.  The loop inlines the residue draws and builds no per-sample list.
     """
     check_sample_count(samples)
     m, n = region.m, region.n
@@ -311,7 +314,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     ry = _cover_radius(t_inf, n)
 
     # per place: (p**depth_y, its bit length, p**depth_x, its bit length,
-    # {p**j: x test at y valuation j})
+    # {p**j: x test at y valuation j}, or None when every x test is 0)
     fin_data = []
     box_vol = (2 * Fraction(rx)) ** m * (2 * Fraction(ry)) ** n
     for p in region.places.primes:
@@ -324,6 +327,8 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         for j in range(depth_y + 1):
             z = fn.z_at_block(t - j) if t - j >= 1 else 0
             x_test[p**j] = p**z if z > 0 else 0
+        if not any(x_test.values()):
+            x_test = None
         my, mx = p**depth_y, p ** (z_max + 1)
         fin_data.append((my, my.bit_length(), mx, mx.bit_length(), x_test))
         box_vol *= Fraction(p) ** (t * n)  # exact volume of the ||y||_p ball
@@ -361,6 +366,14 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
             else:
                 ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
             for my, ky, mx, kx, x_test in fin_data:
+                if not (ok and x_test):  # this place cannot reject: draw only
+                    for _ in range(n):
+                        while bits(ky) >= my:
+                            pass
+                    for _ in range(m):
+                        while bits(kx) >= mx:
+                            pass
+                    continue
                 gy, gx = my, 0
                 for _ in range(n):
                     r = bits(ky)
@@ -372,11 +385,10 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
                     while r >= mx:
                         r = bits(kx)
                     gx = gcd(gx, r)
-                if ok:
-                    pz = x_test[gy]
-                    if pz and gx % pz:
-                        ok = False
-                        break
+                pz = x_test[gy]
+                if pz and gx % pz:
+                    ok = False
+                    break
             hits += ok
 
     phat = hits / samples
