@@ -266,11 +266,13 @@ def check_loglaw_filter(rng: random.Random, rounds: int = 200, ties: int = 30):
     LogLaw and Scaled(LogLaw) with b in {1/2, 1, 2, 3}.  On random (t, mult,
     e), root_bracket contains the interval max_root_leq.  Built near-ties,
     g*mult within 1e-12 relative of some k**e, must take the fallback and
-    still give the exact answer.  The detail reports how many decisions the
-    filter made and how many fell back."""
+    still give the exact answer.  Then as many random (lhs, t) and built
+    near-ties, lhs within 1e-12 relative of g(t), for leq_value.  The detail
+    reports how many decisions the filter made and how many fell back."""
     import mpmath
 
-    tally = {True: 0, False: 0}  # decided by the filter or not
+    tally = {True: 0, False: 0}  # root decisions by the filter or not
+    leq_tally = {True: 0, False: 0}
     intervals = [0]
 
     class _Watched(LogLaw):
@@ -305,37 +307,71 @@ def check_loglaw_filter(rng: random.Random, rounds: int = 200, ties: int = 30):
             return f"root near-tie decided by the filter as {got}"
         return None
 
+    def leq_case(fn, ref, lhs, t, tie):
+        before = intervals[0]
+        got = fn.leq_value(lhs, t)
+        filtered = intervals[0] == before
+        want = ref.leq_value(lhs, t)
+        leq_tally[filtered] += 1
+        if got != want:
+            return f"leq: lhs={lhs} at t={t} gives {got}, interval {want}"
+        if tie and filtered:
+            return f"leq near-tie lhs={lhs} at t={t} decided by the filter as {got}"
+        return None
+
+    def draw_t(tie):
+        """A base-level t > 1, near 1 one time in ten; for a near-tie, off
+        the plateau, where g(t) <= 16 / (20 sqrt(ln 20)) < 1."""
+        if tie:
+            return Fraction(rng.randint(20, 10**6), rng.randint(1, 3)) + 20
+        if rng.random() < 0.1:
+            return 1 + Fraction(rng.randint(1, 1000), 1000)
+        return Fraction(rng.randint(2, 10 ** rng.randint(1, 9)), rng.randint(1, 5)) + 1
+
+    def g_at(c, b, tb):
+        """g(tb) = c / (tb (ln tb)**b), at the caller's mpmath precision."""
+        tt = mpmath.mpf(tb.numerator) / tb.denominator
+        return mpmath.mpf(c.numerator) / c.denominator / (
+            tt * mpmath.log(tt) ** (mpmath.mpf(b.numerator) / b.denominator)
+        )
+
+    def jitter():
+        """A factor within 1e-12 of 1."""
+        return 1 + mpmath.mpf(rng.uniform(-1, 1)) * mpmath.mpf("1e-12")
+
+    # base-level t and mult, or lhs, mapped through the scales
     for i in range(rounds + ties):
         fn, ref, c, b, vs, lam = draw()
         e = rng.randint(1, 3)
-        if i < rounds:
-            # base-level t > 1 and mult, mapped through the scales
-            if rng.random() < 0.1:
-                tb = 1 + Fraction(rng.randint(1, 1000), 1000)
-            else:
-                tb = Fraction(rng.randint(2, 10 ** rng.randint(1, 9)), rng.randint(1, 5)) + 1
+        tie = i >= rounds
+        tb = draw_t(tie)
+        if not tie:
             mult = Fraction(rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 20))
-            err = root_case(fn, ref, tb / lam, mult / vs, e, False)
-        else:
-            # off the plateau: g(t) <= 16 / (20 sqrt(ln 20)) < 1
-            tb = Fraction(rng.randint(20, 10**6), rng.randint(1, 3)) + 20
+        else:  # g*mult near k**e
             with mpmath.workdps(50):
-                g = mpmath.mpf(c.numerator) / c.denominator / (
-                    mpmath.mpf(tb.numerator) / tb.denominator
-                    * mpmath.log(mpmath.mpf(tb.numerator) / tb.denominator)
-                    ** (mpmath.mpf(b.numerator) / b.denominator)
-                )
                 k = rng.randint(1, 10**4)
-                x = k**e / g * (1 + mpmath.mpf(rng.uniform(-1, 1)) * mpmath.mpf("1e-12"))
-                mult = Fraction(int(x * 2**64), 2**64)
-            err = root_case(fn, ref, tb / lam, mult / vs, e, True)
+                mult = Fraction(int(k**e / g_at(c, b, tb) * jitter() * 2**64), 2**64)
+        err = root_case(fn, ref, tb / lam, mult / vs, e, tie)
         if err is not None:
             return False, f"instance {i} ({fn!r}, e={e}): {err}"
-    if not tally[True]:
+    for i in range(rounds + ties):
+        fn, ref, c, b, vs, lam = draw()
+        tie = i >= rounds
+        tb = draw_t(tie)
+        if not tie:
+            lhs = Fraction(rng.randint(1, 10**6), 10**6) ** rng.randint(1, 4)
+        else:  # lhs near g
+            with mpmath.workdps(50):
+                lhs = Fraction(int(g_at(c, b, tb) * jitter() * 2**100), 2**100)
+        err = leq_case(fn, ref, lhs * vs, tb / lam, tie)
+        if err is not None:
+            return False, f"leq instance {i} ({fn!r}): {err}"
+    if not tally[True] or not leq_tally[True]:
         return False, "the filter decided nothing"
     return True, (
-        f"{rounds} random and {ties} near-tie instances: "
-        f"{tally[True]} decided by the filter, {tally[False]} fell back"
+        f"{rounds} random and {ties} near-tie instances each: root_bracket "
+        f"{tally[True]} decided by the filter, {tally[False]} fell back; leq_value "
+        f"{leq_tally[True]} decided by the filter, {leq_tally[False]} fell back"
     )
 
 

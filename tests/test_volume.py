@@ -363,6 +363,38 @@ def finite_test_region(rng: random.Random, real=None) -> Region:
     return Region(psi, prof, PlaceSet(primes))
 
 
+MISS_REALS = (
+    PowerLaw(Fraction(1), Fraction(2)),
+    LogLaw(Fraction(3, 2), Fraction(2)),
+    Scaled(PowerLaw(Fraction(3), Fraction(1, 2)), Fraction(1, 2), Fraction(2)),
+)
+
+
+def draw_only_test_region(rng: random.Random) -> Region:
+    """A region whose first finite place cannot reject, before a place that
+    tests x: S = {2, 3}, {3, 5} or {2, 3, 5}, and the first and third places
+    have psi_p = 1 or steps that start beyond their t_p, so their x test is
+    0 at every y valuation.  The real part falls below 1 early and T_inf is
+    up to 10**n, so most draws miss at the real place and still draw every
+    place's residues."""
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    primes = rng.choice(((2, 3), (3, 5), (2, 3, 5)))
+    fin, exps = {}, {}
+    for i, p in enumerate(primes):
+        t = rng.randint(0, 3)
+        if i == 1:  # tests x
+            head = tuple(range(1, rng.randint(1, 3) + 1))
+        elif rng.random() < 0.5:
+            head = ()
+        else:
+            head = (0,) * t + (rng.randint(1, 2),)
+        fin[p] = FiniteApproxFunction(p, m, n, head)
+        exps[p] = n * t
+    psi = ApproxCollection.of(rng.choice(MISS_REALS), fin, m, n)
+    prof = NormProfile.of(Fraction(rng.randint(4, 40), 4) ** n, exps)
+    return Region(psi, prof, PlaceSet(primes))
+
+
 class TestStreamContract:
     """The oracle against the draw loop as first written, on regions where
     the finite places test x and a miss there stops the sample."""
@@ -448,6 +480,15 @@ class TestStreamContract:
         mc = volume_monte_carlo(reg, 8300, 17)
         assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 8300, 17)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_matches_the_reference_loop_past_places_that_cannot_reject(self, region_seed, seed):
+        # a place that cannot reject, and every place after a real-place
+        # miss, only draws its residues; the stream must not change
+        reg = draw_only_test_region(random.Random(region_seed))
+        mc = volume_monte_carlo(reg, 300, seed)
+        assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 300, seed)
+
 
 CUT_REALS = MC_REALS + (
     PowerLaw(Fraction(4), Fraction(2)),
@@ -496,6 +537,27 @@ def finite_test_table() -> list[str]:
         mc = volume_monte_carlo(reg, 200, seed=rng.randrange(2**32))
         lines.append(f"{mc.hits} {mc.samples} {mc.box_volume}")
     return lines
+
+
+class TestLogLawDraws:
+    @pytest.mark.parametrize("m, n, primes", [(1, 1, ()), (2, 1, (2,)), (1, 2, (2, 3))])
+    def test_few_draws_run_interval_arithmetic(self, m, n, primes, monkeypatch):
+        # leq_value decides the draws in floats; only near-ties and t <= 2,
+        # where the float filter claims nothing, run _g_interval
+        calls = [0]
+        g_interval = LogLaw._g_interval
+
+        def counted(self, t, prec):
+            calls[0] += 1
+            return g_interval(self, t, prec)
+
+        monkeypatch.setattr(LogLaw, "_g_interval", counted)
+        fin = {p: FiniteApproxFunction(p, m, n, (0, 1)) for p in primes}
+        psi = ApproxCollection.of(LogLaw(Fraction(2), Fraction(2)), fin, m, n)
+        reg = Region(psi, NormProfile.of(Fraction(21, 4) ** n, {p: n for p in primes}), PlaceSet(primes))
+        mc = volume_monte_carlo(reg, 4000, seed=3)
+        assert 0 < mc.hits < mc.samples
+        assert calls[0] <= 40
 
 
 class TestPinnedFiniteMonteCarlo:
