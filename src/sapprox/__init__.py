@@ -15,7 +15,6 @@ from .sring import (  # noqa: F401
     SRational,
     SVector,
     congruent_mod,
-    count_in_ap,
     enumerate_box,
     norm_at,
     padic_norm,

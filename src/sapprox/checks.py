@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import _kernel
 from .approx import (
     FiniteApproxFunction,
     LogLaw,
@@ -49,7 +50,6 @@ from .sring import (
     NormProfile,
     PlaceSet,
     congruent_mod,
-    count_in_ap,
     enumerate_box,
     min_valuation,
     padic_valuation,
@@ -62,8 +62,8 @@ def _rand_fraction(rng, lo=-8, hi=8, den=6) -> Fraction:
 
 
 def check_kernel_ap(rng: random.Random, rounds: int = 1000):
-    """count_in_ap (ceil and floor, then the kernel's integer count) equals
-    loop counting on random rational endpoints, integer ones included."""
+    """The kernel's progression count over [ceil(lo), floor(hi)] equals loop
+    counting on random rational endpoints, integer ones included."""
     for _ in range(rounds):
         lo = Fraction(rng.randint(-300, 300), rng.randint(1, 8))
         hi = Fraction(rng.randint(-300, 300), rng.randint(1, 8))
@@ -71,9 +71,9 @@ def check_kernel_ap(rng: random.Random, rounds: int = 1000):
         expected = sum(
             1 for b in range(math.floor(lo), math.ceil(hi) + 1) if lo <= b <= hi and (b - r) % M == 0
         )
-        got = count_in_ap(lo, hi, r, M)
+        got = _kernel.count_in_ap_int(math.ceil(lo), math.floor(hi), r, M)
         if got != expected:
-            return False, f"count_in_ap({lo},{hi},{r},{M}) = {got} != {expected}"
+            return False, f"count_in_ap_int over [{lo},{hi}], r={r}, M={M}: {got} != {expected}"
     return True, f"{rounds} instances"
 
 

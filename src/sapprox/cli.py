@@ -9,6 +9,7 @@ so its bytes reproduce exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -26,6 +27,7 @@ from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
 from .counting import (
     CountRequest,
     TruncatedMatrix,
+    congruence_shift,
     count_solutions,
     default_dirichlet_constants,
     dirichlet_precision_needed,
@@ -34,7 +36,7 @@ from .counting import (
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
-from .volume import Region, mc_agrees, volume_exact, volume_monte_carlo
+from .volume import Region, check_sample_count, mc_agrees, volume_exact, volume_monte_carlo
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
 LADDER_MODES = ("volume", "count", "asymptotic", "dichotomy")  # the modes --max-T truncates
@@ -42,6 +44,18 @@ LADDER_MODES = ("volume", "count", "asymptotic", "dichotomy")  # the modes --max
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    """Re-raise a missing or bad config value as a ConfigError that names
+    the field it belongs to."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,9 @@ class Schedule:
             raise ConfigError("finite ladders must grow (step >= 1)")
         if any(e < 1 for _, e in self.finite_every):
             raise ConfigError("finite_every must be >= 1")
+        missing = sorted(set(dict(self.finite_start)) - set(dict(self.finite_step)))
+        if missing:
+            raise ConfigError(f"finite_step has no entry for the places {missing}")
 
     def profile(self, n: int, index: int) -> NormProfile:
         t_inf = self.real_start * self.real_factor**index
@@ -119,12 +136,20 @@ class ExperimentConfig:
             raise ConfigError("psi dimensions disagree with dims")
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
-        self.psi.check_places(self.places)
+        with _field("psi"):
+            self.psi.check_places(self.places)
+        with _field("schedule"):
+            Region(self.psi, self.schedule.profile(self.dims[1], 0), self.places)
+        with _field("congruence"):
+            congruence_shift(self.places, self.modulus, self.shift, sum(self.dims))
+        with _field("sampler"):
+            _sampler_config(self, 0)
+        if self.mode == "volume":
+            with _field("mc_samples"):
+                check_sample_count(self.mc_samples)
         if self.dirichlet_constants is not None:
-            try:
+            with _field("dirichlet_constants"):
                 default_dirichlet_constants(self.places, self.dims[0], dict(self.dirichlet_constants))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
 
     def to_json(self) -> dict:
         return {
@@ -162,46 +187,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ExperimentConfig":
-        places = PlaceSet(tuple(sorted(obj.get("places", []))))
-        dims = tuple(obj["dims"])
-        psi = ApproxCollection.from_json(obj["psi"])
-        sch = obj["schedule"]
-        schedule = Schedule(
-            Fraction(sch["real_start"]),
-            Fraction(sch["real_factor"]),
-            int(sch["steps"]),
-            tuple(sorted((int(p), int(t)) for p, t in sch.get("finite_start", {}).items())),
-            tuple(sorted((int(p), int(s)) for p, s in sch.get("finite_step", {}).items())),
-            tuple(sorted((int(p), int(e)) for p, e in sch.get("finite_every", {}).items())),
-        )
-        cong = obj.get("congruence", {})
-        sampler = obj.get("sampler", {})
-        consts = obj.get("dirichlet_constants")
-        return cls(
-            mode=obj["mode"],
-            places=places,
-            dims=dims,
-            psi=psi,
-            schedule=schedule,
-            modulus=int(cong.get("modulus", 1)),
-            shift=tuple(Fraction(c) for c in cong.get("shift", [])),
-            seed=int(sampler.get("seed", 20260810)),
-            precision=tuple(
-                sorted((int(p), int(k)) for p, k in sampler.get("precision", {}).items())
-            ),
-            real_resolution=int(sampler.get("real_resolution", 2**64)),
-            sample_count=int(obj.get("sample_count", 20)),
-            mc_samples=int(obj.get("mc_samples", 100_000)),
-            dirichlet_constants=(
-                None
-                if consts is None
-                else tuple(
+        with _field("mode"):
+            mode = obj["mode"]
+        with _field("places"):
+            places = PlaceSet(tuple(sorted(obj.get("places", []))))
+        with _field("dims"):
+            dims = tuple(obj["dims"])
+        with _field("psi"):
+            psi = ApproxCollection.from_json(obj["psi"])
+        with _field("schedule"):
+            sch = obj["schedule"]
+            schedule = Schedule(
+                Fraction(sch["real_start"]),
+                Fraction(sch["real_factor"]),
+                int(sch["steps"]),
+                tuple(sorted((int(p), int(t)) for p, t in sch.get("finite_start", {}).items())),
+                tuple(sorted((int(p), int(s)) for p, s in sch.get("finite_step", {}).items())),
+                tuple(sorted((int(p), int(e)) for p, e in sch.get("finite_every", {}).items())),
+            )
+        with _field("congruence"):
+            cong = obj.get("congruence", {})
+            modulus = int(cong.get("modulus", 1))
+            shift = tuple(Fraction(c) for c in cong.get("shift", []))
+        with _field("sampler"):
+            sampler = obj.get("sampler", {})
+            seed = int(sampler.get("seed", 20260810))
+            precision = tuple(sorted((int(p), int(k)) for p, k in sampler.get("precision", {}).items()))
+            real_resolution = int(sampler.get("real_resolution", 2**64))
+        with _field("sample_count"):
+            sample_count = int(obj.get("sample_count", 20))
+        with _field("mc_samples"):
+            mc_samples = int(obj.get("mc_samples", 100_000))
+        with _field("dirichlet_constants"):
+            consts = obj.get("dirichlet_constants")
+            if consts is not None:
+                consts = tuple(
                     sorted(
                         ((k if k == REAL_PLACE else int(k), Fraction(v)) for k, v in consts.items()),
                         key=lambda kv: str(kv[0]),
                     )
                 )
-            ),
+        return cls(
+            mode=mode,
+            places=places,
+            dims=dims,
+            psi=psi,
+            schedule=schedule,
+            modulus=modulus,
+            shift=shift,
+            seed=seed,
+            precision=precision,
+            real_resolution=real_resolution,
+            sample_count=sample_count,
+            mc_samples=mc_samples,
+            dirichlet_constants=consts,
             out=obj.get("out", "out"),
             formats=tuple(obj.get("formats", ("csv", "json"))),
         )

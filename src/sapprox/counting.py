@@ -163,6 +163,20 @@ class TruncatedMatrix:
         return Fraction(self.finite_rows(p)[i][j])
 
 
+def congruence_shift(places: PlaceSet, modulus: int, shift: Sequence, d: int) -> tuple[Fraction, ...]:
+    """The congruence shift as d Fractions, zero when ``shift`` is empty;
+    raises ValueError unless the modulus is coprime to S and the shift is
+    an S-integer vector of dimension d."""
+    if not places.admissible_modulus(modulus):
+        raise ValueError(f"modulus {modulus} is not coprime to the finite places")
+    shift = tuple(Fraction(c) for c in shift) or (Fraction(0),) * d
+    if len(shift) != d:
+        raise ValueError("congruence shift must have dimension m + n")
+    if not places.contains_vector(shift):
+        raise ValueError("congruence shift must be an S-integer vector")
+    return shift
+
+
 @dataclass(frozen=True)
 class CountRequest:
     """Everything the counter needs: A, psi, T, the congruence (N, v_d)."""
@@ -181,18 +195,7 @@ class CountRequest:
         self.region()  # checks the psi and profile places and the exponents
         if tuple(p for p, _ in self.matrix.finite) != self.places.primes:
             raise ValueError("matrix places do not match the place set")
-        if not self.places.admissible_modulus(self.modulus):
-            raise ValueError(
-                f"modulus {self.modulus} is not coprime to the finite places"
-            )
-        shift = tuple(Fraction(c) for c in self.shift) or tuple(
-            Fraction(0) for _ in range(m + n)
-        )
-        if len(shift) != m + n:
-            raise ValueError("congruence shift must have dimension m + n")
-        if not self.places.contains_vector(shift):
-            raise ValueError("congruence shift must be an S-integer vector")
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", congruence_shift(self.places, self.modulus, self.shift, m + n))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -215,44 +218,30 @@ class CountRequest:
 
 
 class _CrtCache:
-    """Caches two-modulus merges: the fibre oracle folds the same moduli on
-    every draw."""
+    """The CRT basis of fixed, pairwise coprime moduli m_k: their product M
+    and the idempotents e_k (1 mod m_k, 0 mod the others), built once.  The
+    counter and the Dirichlet solver fold the rows over the p**K_p, the
+    fibre oracle its draws over its fixed moduli.  The class keeps its name
+    because perfbench's tracer patches ``crt_fold`` by name."""
 
-    def __init__(self):
-        self.merge = {}
+    def __init__(self, moduli: Sequence[int]):
+        self.M = M = math.prod(moduli)
+        self.idempotents = [M // m * pow(M // m, -1, m) for m in moduli]
 
-    def crt_fold(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        """Merge (residue, modulus) pairs with pairwise coprime moduli."""
-        r, M = 0, 1
-        for r2, m2 in pairs:
-            if m2 == 1:
-                continue
-            if M == 1:
-                r, M = r2 % m2, m2
-                continue
-            key = (M, m2)
-            pair = self.merge.get(key)
-            if pair is None:
-                pair = (pow(M, -1, m2), M * m2)
-                self.merge[key] = pair
-            inv, prod = pair
-            r = (r + ((r2 - r) * inv % m2) * M) % prod
-            M = prod
-        return r, M
+    def crt_fold(self, residues: Sequence[int]) -> tuple[int, int]:
+        """(r, M) with r = residues[k] (mod m_k) for every k, 0 <= r < M."""
+        return sum(r * e for r, e in zip(residues, self.idempotents)) % self.M, self.M
 
 
 def _crt_rows(matrix: TruncatedMatrix) -> list[list[int]]:
     """Atil, the CRT of the representative rows: one integer matrix with
     Atil = A_p (mod p**K_p) at every finite place p."""
+    crt = _CrtCache([p**K for p, K in matrix.precision])
     m, n = matrix.shape
-    Atil, PK = [[0] * n for _ in range(m)], 1
-    for (p, rows), (_, K) in zip(matrix.finite, matrix.precision):
-        pK = p**K
-        inv = pow(PK, -1, pK)
-        for Arow, row in zip(Atil, rows):
-            Arow[:] = [x + PK * ((r - x) * inv % pK) for x, r in zip(Arow, row)]
-        PK *= pK
-    return Atil
+    return [
+        [crt.crt_fold([rows[i][j] for _, rows in matrix.finite])[0] for j in range(n)]
+        for i in range(m)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -717,7 +706,10 @@ def _dirichlet_exponents(profile: NormProfile, places: PlaceSet, consts, m: int,
         raise ValueError("Dirichlet systems need T_p >= 1 at every place")
     for p in places.primes:
         u, C = profile.exponent(p), consts[p]
-        j = math.ceil((u * n - math.log(C) / math.log(p)) / m) - 2
+        # log of the integer parts: math.log(C) overflows or underflows when
+        # C itself is outside the float range
+        log_C = math.log(C.numerator) - math.log(C.denominator)
+        j = math.ceil((u * n - log_C / math.log(p)) / m) - 2
         while Fraction(p) ** (u * n - j * m) > C:
             j += 1
         yield p, u, j, max(j, 0) + u
@@ -1056,14 +1048,13 @@ def x_region_volume_mc(
     a = [int(D * c) for c in qvec]
     res = 2**53
     Ky = psi.real.max_root_leq(sup_norm(qvec) ** n, Fraction((res * D) ** m), m)
-    cache = _CrtCache()
+    crt = _CrtCache([mod for mod, _ in fin_data])
 
     rng = random.Random(derive_seed(seed, "xq"))
     hits = 0
     for _ in range(samples):
         s = sum(rng.randrange(res) * aj for aj in a)
-        pairs = [(-sum(rng.randrange(depth) * aj for aj in a), mod) for mod, depth in fin_data]
-        r, M = cache.crt_fold(pairs)
+        r, M = crt.crt_fold([-sum(rng.randrange(depth) * aj for aj in a) for _, depth in fin_data])
         if _kernel.count_in_ap_int(-((Ky + s) // res), (Ky - s) // res, r, M) >= 1:
             hits += 1
     phat = hits / samples

@@ -182,12 +182,6 @@ def congruent_mod(
     return True
 
 
-def count_in_ap(lo: Fraction, hi: Fraction, residue: int, modulus: int) -> int:
-    """#{b in Z : lo <= b <= hi, b = residue (mod modulus)}, exact closed form."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _kernel.count_in_ap_int(math.ceil(lo), math.floor(hi), residue, modulus)
-
-
 @dataclass(frozen=True)
 class NormProfile:
     """Per-place bound tuple T = (T_p): a positive rational at the real place

@@ -321,6 +321,22 @@ class TestLogLawFloat:
                 want = float(1 / (tt * mpmath.log(tt) ** 2))
             assert self.fn.value_float(t) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(2)])
+    def test_scaled_float_evaluation(self, b):
+        # s * min(1, g(lam t)) with g(u) = c / (u (ln u)**b): on the plateau
+        # (lam t <= 1 at t = 2, 3; g(lam t) >= 1 at t = 5) and off it
+        c, s, lam = Fraction(3, 2), Fraction(7, 5), Fraction(1, 3)
+        fn = Scaled(LogLaw(c, b), s, lam)
+        psi = ApproxCollection.of(fn, {}, 1, 1)
+        for t in (Fraction(2), Fraction(3), Fraction(5), Fraction(12), Fraction(10**6 + 1), Fraction(10**30)):
+            with mpmath.workdps(40):
+                u = mpmath.mpf((lam * t).numerator) / (lam * t).denominator
+                g = c.numerator / (c.denominator * u * mpmath.log(u) ** b) if u > 1 else 1
+                want = float(s.numerator * min(1, g) / s.denominator)
+            assert fn.value_float(t) == pytest.approx(want, rel=1e-12)
+            assert float(evaluate(fn, t)) == pytest.approx(want, rel=1e-12)
+            assert x_region_bound((t,), psi, self.S0) == pytest.approx(2 * want, rel=1e-12)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_filter_matches_interval_arithmetic(self, seed):

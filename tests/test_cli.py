@@ -120,6 +120,57 @@ class TestConfig:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("asymptotic", lambda c: c.update(places=[4]), "places: 4 is not prime"),
+            (
+                "asymptotic",
+                lambda c: c["psi"]["real"].update(kind="bogus"),
+                "psi: unknown real function kind 'bogus'",
+            ),
+            ("asymptotic", lambda c: c.pop("dims"), "dims: missing field 'dims'"),
+            (
+                "asymptotic",
+                lambda c: c["congruence"].update(modulus=2),
+                "congruence: modulus 2 is not coprime to the finite places",
+            ),
+            (
+                "asymptotic",
+                lambda c: c["sampler"].update(precision={"2": 0}),
+                "sampler: precision must be >= 1 everywhere",
+            ),
+            (
+                "asymptotic",
+                lambda c: c["psi"]["finite"]["2"].update(head=[2, 1]),
+                "psi: exponents z_k must be nondecreasing",
+            ),
+            (
+                "asymptotic",
+                lambda c: c["schedule"].update(finite_start={}),
+                "schedule: profile places do not match the place set",
+            ),
+            (
+                "asymptotic",
+                lambda c: c["schedule"].update(finite_step={}),
+                "schedule: finite_step has no entry for the places [2]",
+            ),
+            ("volume", lambda c: c.update(mc_samples=0), "mc_samples: samples must be an int >= 1, got 0"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, mode, edit, message, tmp_path, monkeypatch, capsys):
+        obj = json.loads((Path(__file__).resolve().parent.parent / "configs" / "headline-asymptotic.json").read_text())
+        edit(obj)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        monkeypatch.setattr("sapprox.cli.run", lambda *a, **k: pytest.fail("a bad config reached run"))
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_asymptotic_requires_divergent_integral(self):
         S = PlaceSet((2,))
         convergent = ApproxCollection.of(

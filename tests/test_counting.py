@@ -3,6 +3,7 @@ rescaling, discrepancy, and the combinatorial bounds."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -43,6 +44,7 @@ from sapprox.counting import (
     count_solutions,
     count_solutions_bruteforce,
     default_dirichlet_constants,
+    dirichlet_precision_needed,
     dirichlet_solve,
     discrepancy,
     embed_unipotent,
@@ -499,6 +501,23 @@ class TestDirichlet:
         verify_dirichlet(A, prof, S2, None, (Fraction(0),), (Fraction(1),))
         with pytest.raises(ValueError, match=message):
             verify_dirichlet(A, prof, S2, constants, (Fraction(0),), (Fraction(1),))
+
+    @pytest.mark.parametrize("C", [Fraction(10**400), Fraction(1, 10**400), Fraction(1, 2**3000)])
+    def test_constants_outside_the_float_range(self, C):
+        # the need is max(j, 0) + u, j the smallest integer with
+        # 2**(u n - j m) <= C_2
+        A = TruncatedMatrix.of([[Fraction(1, 3)]], {2: [[1]]}, {2: 10})
+        prof = NormProfile.of(Fraction(3), {2: 1})
+        u, n, m = 1, 1, 1
+        j = next(j for j in itertools.count(-(10**4)) if Fraction(2) ** (u * n - j * m) <= C)
+        need = max(j, 0) + u
+        assert dirichlet_precision_needed(A, prof, S2, {2: C}) == {2: need}
+        if need <= 10:
+            pvec, qvec = dirichlet_solve(A, prof, S2, {2: C})
+            verify_dirichlet(A, prof, S2, {2: C}, pvec, qvec)
+        else:
+            with pytest.raises(InsufficientPrecision):
+                dirichlet_solve(A, prof, S2, {2: C})
 
     def test_zero_real_constant_asks_for_an_exact_pair(self):
         # C_inf = 0 asks for A q + p = 0 at the real place

@@ -47,8 +47,8 @@ def test_tracer_builds_enters_and_exits(tracer):
     count = counting.count_solutions
     tr = tracer.sapprox_tracer()
     S = PlaceSet((2,))
-    A = sample_matrix(SamplerConfig.of(5, (1, 1), S, {2: 10}, 2**10))
-    req = CountRequest(S, A, psi_one(S, 1, 1), NormProfile.of(Fraction(3), {2: 1}))
+    A = sample_matrix(SamplerConfig.of(5, (2, 1), S, {2: 10}, 2**10))
+    req = CountRequest(S, A, psi_one(S, 2, 1), NormProfile.of(Fraction(3), {2: 1}))
     with tr:
         assert counting._CrtCache.crt_fold is not crt_fold
         traced = counting.count_solutions(req)
@@ -57,6 +57,9 @@ def test_tracer_builds_enters_and_exits(tracer):
     assert traced == count(req)
     for layer in ("counting.count_solutions", "sring.enumerate_box_raw"):
         assert tr.layers[layer].calls == 1
+    # _crt_rows folds each of the m * n entries of the matrix once
+    m, n = A.shape
+    assert tr.layers["counting.crt_fold"].calls == m * n
 
 
 def test_run_box_size_matches_sring(run):

@@ -14,7 +14,6 @@ from sapprox.sring import (
     PlaceSet,
     box_size,
     congruent_mod,
-    count_in_ap,
     enumerate_box,
     enumerate_box_raw,
     norm_at,
@@ -116,11 +115,6 @@ class TestCongruence:
 
 
 class TestCountInAp:
-    def test_examples(self):
-        assert count_in_ap(Fraction(0), Fraction(10), 1, 3) == 4
-        assert count_in_ap(Fraction(5), Fraction(4), 0, 1) == 0
-        assert count_in_ap(Fraction(-7), Fraction(7), 2, 5) == 3
-
     def test_against_loop(self):
         ok, detail = check_kernel_ap(random.Random(11), rounds=1000)
         assert ok, detail
