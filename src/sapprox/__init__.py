@@ -17,7 +17,6 @@ from .sring import (  # noqa: F401
     congruent_mod,
     enumerate_box,
     norm_at,
-    padic_norm,
     padic_valuation,
 )
 from .approx import (  # noqa: F401

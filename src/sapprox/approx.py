@@ -532,10 +532,9 @@ class LogLaw(RealApproxFunction):
         """Rational bracket [lo, hi] of the plateau end t0 (t0*(ln t0)**b = c).
         It depends only on (c, b), so it is computed once per function."""
         lo, hi = Fraction(1), Fraction(2)
+        # t (ln t)**b grows without bound for b >= 0, so the doubling ends
         while self.leq_value(Fraction(1), hi):  # still on the plateau at hi
             lo, hi = hi, hi * 2
-            if hi > 2**80:
-                raise IntegralUndecidable("crossover search overflow")
         for _ in range(80):
             mid = (lo + hi) / 2
             if self.leq_value(Fraction(1), mid):
@@ -558,12 +557,21 @@ class LogLaw(RealApproxFunction):
                 return T, Fraction(0)  # entirely on the plateau
         import mpmath
 
+        # psi = 1 up to the plateau end t0 in [lo, hi] and psi <= 1 after it,
+        # so starting the tail at hi with the plateau term lo is off by at
+        # most hi - lo
         lo, hi = self._crossover
         with mpmath.workdps(30):
             c, b = _to_mpf(self.c), _to_mpf(self.b)
+            if to_inf:
+                # b > 1: the tail of c / (t (ln t)**b) from hi is
+                # c (ln hi)**(1-b) / (b-1); 1e-27 relative bounds the
+                # rounding of this 30-digit evaluation
+                total = _to_mpf(lo) + c * mpmath.log(_to_mpf(hi)) ** (1 - b) / (b - 1)
+                value = float(total)
+                return value, float(hi - lo) + float(total) * 1e-27 + math.ulp(value) / 2
             f = lambda r: c / (r * mpmath.log(r) ** b)
-            end = mpmath.inf if to_inf else _to_mpf(T)
-            val, quad_err = mpmath.quad(f, [_to_mpf(hi), end], error=True)
+            val, quad_err = mpmath.quad(f, [_to_mpf(hi), _to_mpf(T)], error=True)
             total = _to_mpf(lo) + val
             err = float(quad_err) + float(hi - lo)
         return float(total), err

@@ -276,6 +276,15 @@ class RunResult:
         return 0 if self.summary.get("passed", True) else 1
 
 
+def _record(config, prof, sample, seed, step, volume, count, ratio, elapsed, events=()) -> RunRecord:
+    """The record of one ladder step, with the profile's bounds and the
+    volume as the strings that records.csv and records.json hold."""
+    t_fin = tuple((p, str(prof.finite_value(p))) for p in config.places.primes)
+    return RunRecord(
+        sample, seed, step, str(prof.t_inf), t_fin, str(volume), count, ratio, elapsed, tuple(events)
+    )
+
+
 def _sampler_config(config: ExperimentConfig, sample_index: int) -> SamplerConfig:
     precision = dict(config.precision) or {p: 16 for p in config.places.primes}
     return SamplerConfig.of(
@@ -305,31 +314,21 @@ def _sample_records(args) -> list[RunRecord]:
     config, sample_index, profiles, volumes = args
     scfg = _sampler_config(config, sample_index)
     A = sample_matrix(scfg)
-    N = config.modulus
-    d = sum(config.dims)
+    scale = config.modulus ** sum(config.dims)
     start = time.perf_counter()
-    req = CountRequest(config.places, A, config.psi, profiles[-1], N, config.shift)
+    req = CountRequest(config.places, A, config.psi, profiles[-1], config.modulus, config.shift)
     A, events = _deepened(A, precision_needed(req))
     counts = count_solutions(dataclasses.replace(req, matrix=A), profiles)
     elapsed = time.perf_counter() - start
-    records = []
-    for step, (prof, vol, cnt) in enumerate(zip(profiles, volumes, counts)):
-        ratio = cnt * N**d / float(vol) if float(vol) else math.inf
-        records.append(
-            RunRecord(
-                sample=sample_index,
-                seed=scfg.seed,
-                step=step,
-                t_inf=str(prof.t_inf),
-                t_fin=tuple((p, str(prof.finite_value(p))) for p in config.places.primes),
-                volume=str(vol),
-                count=cnt,
-                ratio=ratio,
-                elapsed=elapsed if step == 0 else 0.0,
-                events=tuple(events) if step == 0 else (),
-            )
+    return [
+        _record(
+            config, prof, sample_index, scfg.seed, step, vol, cnt,
+            cnt * scale / float(vol) if float(vol) else math.inf,
+            elapsed if step == 0 else 0.0,
+            events if step == 0 else (),
         )
-    return records
+        for step, (prof, vol, cnt) in enumerate(zip(profiles, volumes, counts))
+    ]
 
 
 def _ladder_volumes(config: ExperimentConfig, profiles) -> list:
@@ -486,17 +485,7 @@ def _run_volume(config, max_product) -> RunResult:
         "agrees_within_4se": agrees,
         "passed": agrees,
     }
-    record = RunRecord(
-        sample=0,
-        seed=config.seed,
-        step=0,
-        t_inf=str(prof.t_inf),
-        t_fin=tuple((p, str(prof.finite_value(p))) for p in config.places.primes),
-        volume=str(res.total),
-        count=0,
-        ratio=float("nan"),
-        elapsed=0.0,
-    )
+    record = _record(config, prof, 0, config.seed, 0, res.total, 0, float("nan"), 0.0)
     return RunResult(config, [record], summary)
 
 
@@ -531,20 +520,8 @@ def _run_dirichlet(config) -> RunResult:
         pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
         elapsed = time.perf_counter() - start
         solved += 1
-        records.append(
-            RunRecord(
-                sample=i,
-                seed=scfg.seed,
-                step=0,
-                t_inf=str(prof.t_inf),
-                t_fin=tuple((p, str(prof.finite_value(p))) for p in config.places.primes),
-                volume="0",
-                count=1,
-                ratio=1.0,
-                elapsed=elapsed,
-                events=(*events, f"p={_vec(pvec)}", f"q={_vec(qvec)}"),
-            )
-        )
+        events += [f"p={_vec(pvec)}", f"q={_vec(qvec)}"]
+        records.append(_record(config, prof, i, scfg.seed, 0, 0, 1, 1.0, elapsed, events))
     summary = {
         "mode": "dirichlet",
         "instances": config.sample_count,
@@ -614,24 +591,26 @@ def records_to_json(result: RunResult) -> str:
     return json.dumps(payload, indent=2, default=str, sort_keys=True)
 
 
-def result_from_json(text: str) -> RunResult:
-    obj = json.loads(text)
-    config = ExperimentConfig.from_json(obj["config"])
-    records = [
-        RunRecord(
-            sample=r["sample"],
-            seed=r["seed"],
-            step=r["step"],
-            t_inf=r["t_inf"],
-            t_fin=tuple((int(p), s) for p, s in r["t_fin"]),
-            volume=r["volume"],
-            count=r["count"],
-            ratio=float(r["ratio"]),
-            elapsed=float(r["elapsed"]),
-            events=tuple(r.get("events", ())),
-        )
-        for r in obj["records"]
-    ]
+def result_from_json(obj: Mapping) -> RunResult:
+    """The run that ``records_to_json`` wrote, from its parsed JSON."""
+    with _field("config"):
+        config = ExperimentConfig.from_json(obj["config"])
+    with _field("records"):
+        records = [
+            RunRecord(
+                sample=r["sample"],
+                seed=r["seed"],
+                step=r["step"],
+                t_inf=r["t_inf"],
+                t_fin=tuple((int(p), s) for p, s in r["t_fin"]),
+                volume=r["volume"],
+                count=r["count"],
+                ratio=float(r["ratio"]),
+                elapsed=float(r["elapsed"]),
+                events=tuple(r.get("events", ())),
+            )
+            for r in obj["records"]
+        ]
     return RunResult(config, records, obj.get("summary", {}))
 
 
@@ -687,6 +666,25 @@ def records_to_svg(config: ExperimentConfig, records: Sequence[RunRecord]) -> st
     return "\n".join(parts)
 
 
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in the file at ``path``; an unreadable file,
+    bad JSON and a missing or bad field are ConfigErrors naming the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _formats(fmt: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
+    """The report formats that ``--format`` names, or ``default`` without it."""
+    return default if fmt is None else ("csv", "json", "svg") if fmt == "all" else (fmt,)
+
+
 def emit_report(result: RunResult, out_dir: str, formats: Sequence[str]) -> list[str]:
     if not result.records and "json" not in formats:
         raise ValueError("no records to report")
@@ -709,6 +707,11 @@ def emit_report(result: RunResult, out_dir: str, formats: Sequence[str]) -> list
             raise ValueError(f"unknown report format {fmt!r}")
         written.append(path)
     return written
+
+
+def _emit(result: RunResult, out_dir: str, formats: Sequence[str]) -> None:
+    for path in emit_report(result, out_dir, formats):
+        print(f"wrote {path}")
 
 
 # --------------------------------------------------------------------------
@@ -804,23 +807,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config) as fh:
-            config = ExperimentConfig.from_json(json.load(fh))
-        if config.mode != args.mode:
-            config = dataclasses.replace(config, mode=args.mode)
-    else:
-        config = default_config(args.mode)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.samples is not None:
-        config = dataclasses.replace(config, sample_count=args.samples)
-    if args.out:
-        config = dataclasses.replace(config, out=args.out)
-    if args.format:
-        formats = ("csv", "json", "svg") if args.format == "all" else (args.format,)
-        config = dataclasses.replace(config, formats=formats)
-    return config
+    config = (
+        _read_json(args.config, ExperimentConfig.from_json) if args.config else default_config(args.mode)
+    )
+    overrides = {
+        "mode": args.mode,
+        "seed": args.seed,
+        "sample_count": args.samples,
+        "out": args.out or None,
+        "formats": _formats(args.format, None),
+    }
+    # one replace, so the config is checked once, and only when an override changes it
+    changes = {k: v for k, v in overrides.items() if v is not None and v != getattr(config, k)}
+    return dataclasses.replace(config, **changes) if changes else config
 
 
 def main(argv=None) -> int:
@@ -832,29 +831,19 @@ def main(argv=None) -> int:
         parser.error(f"--max-T applies only to the {', '.join(LADDER_MODES)} modes, not {args.mode}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.mode == "report":
-        path = args.records or os.path.join(args.out or "out", "records.json")
-        with open(path) as fh:
-            result = result_from_json(fh.read())
-        if args.format:
-            formats = ("csv", "json", "svg") if args.format == "all" else (args.format,)
-        else:
-            formats = result.config.formats
-        written = emit_report(result, args.out or result.config.out, formats)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-
     max_product = None if args.max_T is None else Fraction(args.max_T)
     try:
+        if args.mode == "report":
+            path = args.records or os.path.join(args.out or "out", "records.json")
+            result = _read_json(path, result_from_json)
+            _emit(result, args.out or result.config.out, _formats(args.format, result.config.formats))
+            return 0
         config = load_config(args)
         result = run(config, jobs=args.jobs, max_product=max_product)
     except ConfigError as exc:
         parser.error(str(exc))
     if result.records:
-        written = emit_report(result, config.out, config.formats)
-        for path in written:
-            print(f"wrote {path}")
+        _emit(result, config.out, config.formats)
     for key, value in result.summary.items():
         if key not in ("suites",):
             print(f"{key}: {value}")

@@ -1000,14 +1000,7 @@ def x_region_bound(qvec: Sequence[Fraction], psi: ApproxCollection, places: Plac
     if not any(qvec):
         raise ValueError("the fiber bound is for nonzero q")
     m, n = psi.m, psi.n
-    out = 2.0 * n
-    t = sup_norm(qvec) ** n
-    trip = psi.real.value_triple(t.numerator, t.denominator)
-    if trip is None:
-        out *= psi.real.value_float(t) ** (1.0 / m)
-    else:
-        vn, vd, w = trip
-        out *= float(Fraction(vn, vd)) ** (1.0 / (w * m))
+    out = 2.0 * n * psi.real.value_float(sup_norm(qvec) ** n) ** (1.0 / m)
     for p in places.primes:
         mv = min_valuation(qvec, p)
         z = 0 if mv is None else psi.finite_fn(p).z_at_block(-mv)

@@ -119,14 +119,6 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
     return _kernel.valuation(x.numerator, p) - _kernel.valuation(x.denominator, p)
 
 
-def padic_norm(x: Fraction | int, p: int) -> Fraction:
-    """|x|_p = p**(-v_p(x)); |0|_p = 0."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-padic_valuation(x, p))
-
-
 def sup_norm(v: Sequence[Fraction]) -> Fraction:
     """The real-place norm: max of coordinate absolute values."""
     return max(abs(c if type(c) is Fraction else Fraction(c)) for c in v)

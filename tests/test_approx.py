@@ -213,13 +213,61 @@ class TestPinnedIntegrals:
     """The local integrals, hashed: truncated real integrals, the divergence
     verdicts with their convergent values, and exact volumes."""
 
-    SHA256 = "862db5f936b2cd10e2c99a0cd972c2ed882ccf698b1c2ce39de169708c4bfa07"
+    SHA256 = "b25604347f88666dcf5cc2f5abbba1393e38badd9f071ec9c9f431d169f9f69c"
 
     def test_table(self):
         lines = integral_table()
         assert len(lines) == 396
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SHA256
+
+
+def loglaw_closed_form(c: Fraction, b: Fraction, T=math.inf):
+    """The integral of min(1, c / (t (ln t)**b)) over (0, T], b > 1, at 80
+    digits: t0 + c ((ln t0)**(1-b) - (ln T)**(1-b)) / (b-1), with the plateau
+    end t0 = e**u found from u + b ln u = ln c."""
+    with mpmath.workdps(80):
+        cc, bb = mpmath.mpf(c.numerator) / c.denominator, mpmath.mpf(b.numerator) / b.denominator
+        ln_c = mpmath.log(cc)
+        u = mpmath.findroot(
+            lambda u: u + bb * mpmath.log(u) - ln_c,
+            (mpmath.exp(-(abs(ln_c) + 2) / bb), abs(ln_c) + 1),
+            solver="anderson",
+        )
+        tail = u ** (1 - bb) - (0 if T == math.inf else mpmath.log(T) ** (1 - bb))
+        return mpmath.exp(u) + cc * tail / (bb - 1)
+
+
+class TestLogLawTail:
+    """The log law's integral to infinity is a closed form within its
+    stated error; only finite T uses quadrature."""
+
+    @staticmethod
+    def off(got, want):
+        with mpmath.workdps(80):
+            return abs(mpmath.mpf(got) - want)
+
+    @pytest.mark.parametrize("b", [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(3)])
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(20), Fraction(10**6)])
+    def test_against_the_closed_form(self, c, b):
+        want = loglaw_closed_form(c, b)
+        value, error = LogLaw(c, b).integral_to(math.inf)
+        assert self.off(value, want) <= error
+        for s, lam in ((Fraction(3, 2), Fraction(2, 3)), (Fraction(2, 3), Fraction(3, 2))):
+            value, error = Scaled(LogLaw(c, b), s, lam).integral_to(math.inf)
+            # Scaled multiplies the float by s / lam, a rounding that its
+            # error does not state: up to one more ulp
+            assert self.off(value, want * s / lam) <= error + math.ulp(value)
+
+    def test_plateau_end_beyond_two_to_the_eighty(self):
+        fn = LogLaw(Fraction(10**30), Fraction(2))
+        value, error = fn.integral_to(math.inf)
+        assert self.off(value, loglaw_closed_form(fn.c, fn.b)) <= error
+        # finite T by quadrature, within its stated error plus one ulp
+        T = Fraction(10**40)
+        value, error = fn.integral_to(T)
+        assert value == 5.843666095984539e27
+        assert self.off(value, loglaw_closed_form(fn.c, fn.b, 10**40)) <= error + math.ulp(value)
 
 
 def reference_power_integral(fn: PowerLaw, T) -> tuple:

@@ -17,6 +17,8 @@ from sapprox.approx import ApproxCollection, FiniteApproxFunction, PowerLaw, psi
 from sapprox.cli import (
     ConfigError,
     ExperimentConfig,
+    RunRecord,
+    RunResult,
     Schedule,
     csv_to_rows,
     default_config,
@@ -30,8 +32,11 @@ from sapprox.cli import (
 )
 from sapprox.counting import CountRequest, count_solutions, count_solutions_bruteforce, dirichlet_solve
 from sapprox.sampler import SamplerConfig, deepen, sample_matrix
-from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet
+from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
 from sapprox.volume import Region, volume_exact
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_asymptotic(seed=20260810, samples=3, steps=4):
@@ -159,7 +164,7 @@ class TestConfig:
         ],
     )
     def test_bad_config_is_a_usage_error(self, mode, edit, message, tmp_path, monkeypatch, capsys):
-        obj = json.loads((Path(__file__).resolve().parent.parent / "configs" / "headline-asymptotic.json").read_text())
+        obj = json.loads((CONFIGS / "headline-asymptotic.json").read_text())
         edit(obj)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(obj))
@@ -170,6 +175,20 @@ class TestConfig:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [
+            ("headline-asymptotic", "asymptotic"),
+            ("dichotomy-divergent", "dichotomy"),
+            ("dirichlet", "dirichlet"),
+            ("volume", "volume"),
+        ],
+    )
+    def test_shipped_config_is_the_default(self, name, mode):
+        # the benchmark reads the files, `sapprox <mode>` without --config the defaults
+        shipped = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert ExperimentConfig.from_json(shipped) == default_config(mode)
 
     def test_asymptotic_requires_divergent_integral(self):
         S = PlaceSet((2,))
@@ -200,6 +219,18 @@ class TestConfig:
             main([mode, "--config", str(path), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert '"tail": "constant"' in capsys.readouterr().err
+
+    def test_asymptotic_warns_below_three_dimensions(self):
+        cfg = default_config("asymptotic")
+        cfg = dataclasses.replace(
+            cfg,
+            dims=(1, 1),
+            psi=psi_one(cfg.places, 1, 1),
+            sample_count=1,
+            schedule=dataclasses.replace(cfg.schedule, steps=3),
+        )
+        warnings = run(cfg).summary["warnings"]
+        assert len(warnings) == 1 and warnings[0].startswith("d = m + n = 2 < 3")
 
     def test_dichotomy_verdict_never_integrates_to_infinity(self, monkeypatch):
         from sapprox import approx
@@ -261,6 +292,55 @@ class TestConfig:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def stored_run(formats=("csv", "json")) -> dict:
+    """The parsed records.json of a one-record run, written without running."""
+    cfg = dataclasses.replace(default_config("asymptotic"), formats=formats)
+    record = RunRecord(0, 1, 0, "4", ((2, "2"),), "2", 3, 1.5, 0.0)
+    return json.loads(records_to_json(RunResult(cfg, [record], {})))
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("asymptotic", None, "cannot read {path}: No such file or directory"),
+            ("asymptotic", "{not json", "{path} is not valid JSON"),
+            ("report", None, "cannot read {path}: No such file or directory"),
+            ("report", "{not json", "{path} is not valid JSON"),
+            ("report", '{"config": {}, "records": []}', "{path}: config: mode: missing field 'mode'"),
+            ("report", lambda o: o.pop("config"), "{path}: config: missing field 'config'"),
+            ("report", lambda o: o.pop("records"), "{path}: records: missing field 'records'"),
+            ("report", lambda o: o["records"][0].pop("count"), "{path}: records: missing field 'count'"),
+        ],
+        ids=[
+            "config-absent",
+            "config-not-json",
+            "records-absent",
+            "records-not-json",
+            "records-empty-config",
+            "records-without-config",
+            "records-without-records",
+            "record-without-count",
+        ],
+    )
+    def test_is_a_usage_error_naming_the_file(self, mode, edit, message, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "input.json"
+        if isinstance(edit, str):
+            path.write_text(edit)
+        elif edit is not None:  # an edit of a well-formed records.json
+            obj = stored_run()
+            edit(obj)
+            path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        monkeypatch.setattr("sapprox.cli.run", lambda *a, **k: pytest.fail("a bad file reached run"))
+        flag = "--records" if mode == "report" else "--config"
+        with pytest.raises(SystemExit) as exc:
+            main([mode, flag, str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunAndReports:
@@ -331,7 +411,7 @@ class TestRunAndReports:
         cfg = small_asymptotic()
         res = run(cfg)
         blob = records_to_json(res)
-        loaded = result_from_json(blob)
+        loaded = result_from_json(json.loads(blob))
         assert loaded.config == cfg
         rerun = run(loaded.config)
         assert records_to_csv(cfg, rerun.records) == records_to_csv(cfg, res.records)
@@ -482,6 +562,25 @@ class TestMainEntry:
         )
         assert code == 0
         assert (tmp_path / "records.csv").read_bytes() == csv_first
+
+    def test_report_writes_the_stored_formats_without_format(self, tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(stored_run(formats=("svg", "json"))))
+        out = tmp_path / "out"
+        assert main(["report", "--records", str(path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["ratio.svg", "records.json"]
+
+    def test_seed_override_reaches_the_reports(self, tmp_path):
+        seeds = {}
+        for seed in (None, 5):
+            out = tmp_path / str(seed)
+            argv = ["dirichlet", "--samples", "2", "--out", str(out)]
+            assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+            blob = json.loads((out / "records.json").read_text())
+            assert blob["config"]["sampler"]["seed"] == (seed or default_config("dirichlet").seed)
+            seeds[seed] = [row["seed"] for row in csv_to_rows((out / "records.csv").read_text())]
+        assert seeds[5] == [str(derive_seed(5, "sample", i)) for i in range(2)]
+        assert seeds[5] != seeds[None]
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = small_asymptotic(samples=2, steps=3)
