@@ -696,10 +696,14 @@ class Scaled(RealApproxFunction):
         return self.base.tail_diverges()
 
     def integral_to(self, T):
-        # a float val times the Fraction f is float(val) * float(f)
+        # a float val times the Fraction f is float(val) * float(f): float(f)
+        # and the product round, together by under two ulps of the value
         val, err = self.base.integral_to(T * self.arg_scale)
         f = self.value_scale / self.arg_scale
-        return val * f, err * f
+        value, err = val * f, err * f
+        if type(value) is float and value != math.inf:
+            err += 2 * math.ulp(value)
+        return value, err
 
     def to_json(self):
         return {

@@ -40,10 +40,17 @@ from .volume import Region, check_sample_count, mc_agrees, volume_exact, volume_
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
 LADDER_MODES = ("volume", "count", "asymptotic", "dichotomy")  # the modes --max-T truncates
+FORMATS = ("csv", "json", "svg")  # the report formats, all of which --format all writes
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_formats(formats: Sequence[str]) -> None:
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown report format {fmt!r}; the formats are {', '.join(FORMATS)}")
 
 
 @contextlib.contextmanager
@@ -136,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError("psi dimensions disagree with dims")
         if self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
+        with _field("formats"):
+            _check_formats(self.formats)
         with _field("psi"):
             self.psi.check_places(self.places)
         with _field("schedule"):
@@ -682,10 +691,11 @@ def _read_json(path: str, parse):
 
 def _formats(fmt: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
     """The report formats that ``--format`` names, or ``default`` without it."""
-    return default if fmt is None else ("csv", "json", "svg") if fmt == "all" else (fmt,)
+    return default if fmt is None else FORMATS if fmt == "all" else (fmt,)
 
 
 def emit_report(result: RunResult, out_dir: str, formats: Sequence[str]) -> list[str]:
+    _check_formats(formats)
     if not result.records and "json" not in formats:
         raise ValueError("no records to report")
     os.makedirs(out_dir, exist_ok=True)
@@ -699,12 +709,10 @@ def emit_report(result: RunResult, out_dir: str, formats: Sequence[str]) -> list
             path = os.path.join(out_dir, "records.json")
             with open(path, "w") as fh:
                 fh.write(records_to_json(result))
-        elif fmt == "svg":
+        else:
             path = os.path.join(out_dir, "ratio.svg")
             with open(path, "w") as fh:
                 fh.write(records_to_svg(result.config, result.records))
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
         written.append(path)
     return written
 
@@ -797,7 +805,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--format",
-            choices=["csv", "json", "svg", "all"],
+            choices=[*FORMATS, "all"],
             help="report format(s) to write",
         )
         sp.add_argument("--jobs", type=int, default=1, help="parallel A-sample workers (>= 1)")

@@ -430,27 +430,18 @@ def count_solutions(
 
         psi never rises, so over the segment Ky lies in the bracket
         [K_min, K_max]: K_min is k_lo at the end of larger sup norm, K_max
-        is k_hi at the other end.  A one-value bracket makes Ky constant.
-        Otherwise each a counts at K_max; the fibre count never falls as Ky
-        grows, so a count of 0, or one equal to the count at K_min, is the
-        count at Ky, and only the other a take the per-a decision."""
-        total = 0
+        is k_hi at the other end.  Each a counts at K_max: with K_max =
+        k G + rho, row i counts 2k + 1 - (z > rho) + (z >= G - rho).  The
+        fibre count never falls as Ky grows, so a count of 0, or one equal
+        to the count at K_min, is the count at Ky, and only the other a of an
+        open bracket take the per-a decision."""
         last = a + (count - 1) * D
         near, far = sorted((a, last), key=abs)
         K_min = threshold(max(mo, abs(far)))[0]
         K_max = threshold(max(mo, abs(near)))[1]
-        if K_min == K_max:
-            # With Ky = k G + rho each row counts 2k + 1 - (z > rho) + (z >= G - rho)
-            k, rho = divmod(K_min, G)
-            base, top = 2 * k + 1, G - rho
-            for _ in range(count):
-                c = 1
-                for i, d in enumerate(ds):
-                    z = zs[i] + d
-                    zs[i] = z = z - G if z >= G else z
-                    c *= base - (z > rho) + (z >= top)
-                total += c
-            return total
+        open_bracket = K_min != K_max
+        k, rho = divmod(K_max, G)
+        base, top = 2 * k + 1, G - rho
 
         def fibre(Ky):
             c = 1
@@ -460,21 +451,21 @@ def count_solutions(
                     break
             return c
 
-        for _ in range(count):
+        total = 0
+        for t in range(count):
+            c = 1
             for i, d in enumerate(ds):
                 z = zs[i] + d
-                zs[i] = z - G if z >= G else z
-            # The segment's bracket first, then the same rule on the bracket
-            # at a, then the exact threshold
-            c = fibre(K_max)
-            if c and fibre(K_min) != c:
-                amax = max(mo, abs(a))
+                zs[i] = z = z - G if z >= G else z
+                c *= base - (z > rho) + (z >= top)
+            if open_bracket and c and fibre(K_min) != c:
+                # the bracket at a, then the exact threshold
+                amax = max(mo, abs(a + t * D))
                 k_lo, k_hi = threshold(amax)
                 c = fibre(k_hi)
                 if c and k_lo != k_hi and fibre(k_lo) != c:
                     c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m))
             total += c
-            a += D
         return total
 
     shells, inner = {}, {}

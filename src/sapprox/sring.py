@@ -112,11 +112,11 @@ def padic_valuation(x: Fraction | int, p: int) -> int | float:
 
     Returns math.inf for x = 0.
     """
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if not num:
         return math.inf
-    return _kernel.valuation(x.numerator, p) - _kernel.valuation(x.denominator, p)
+    # x is reduced, so p divides at most one of num and den
+    return _kernel.valuation(num, p) if den % p else -_kernel.valuation(den, p)
 
 
 def sup_norm(v: Sequence[Fraction]) -> Fraction:
@@ -139,16 +139,8 @@ def norm_at(v: Sequence[Fraction], place) -> Fraction:
 
 def min_valuation(v: Sequence[Fraction], p: int) -> int | None:
     """min_j v_p(v_j), or None for the zero vector."""
-    best = None
-    for c in v:
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c == 0:
-            continue
-        w = padic_valuation(c, p)
-        if best is None or w < best:
-            best = w
-    return best
+    best = min((padic_valuation(c, p) for c in v), default=math.inf)
+    return None if best == math.inf else best
 
 
 def congruent_mod(

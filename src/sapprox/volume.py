@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .approx import ApproxCollection
-from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, lookup, min_valuation, sup_norm
+from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed, lookup, padic_valuation, sup_norm
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,19 @@ def contains(
         if len(x_at[place]) != m or len(y_at[place]) != n:
             raise ValueError("point dimensions do not match the region")
     for p in region.places.primes:
-        mv_y = min_valuation(y_at[p], p)
-        z = 0
-        if mv_y is not None:
-            if -mv_y * n > region.profile.exponent(p):
+        # y lies in the ball iff -v_p(y_j) n <= the exponent at p for every j
+        # (a zero coordinate has v_p = inf and passes both tests)
+        lowest = -region.profile.exponent(p)
+        mv_y = math.inf
+        for c in y_at[p]:
+            v = padic_valuation(c, p)
+            if v * n < lowest:
                 return False
-            z = region.psi.finite_fn(p).z_at_block(-mv_y)
-        mv_x = min_valuation(x_at[p], p)
-        if mv_x is not None and mv_x < z:
-            return False
+            mv_y = min(mv_y, v)
+        z = 0 if mv_y == math.inf else region.psi.finite_fn(p).z_at_block(-mv_y)
+        for c in x_at[p]:
+            if padic_valuation(c, p) < z:
+                return False
     ax, ay = sup_norm(x_at[REAL_PLACE]), sup_norm(y_at[REAL_PLACE])
     return _real_member(region)(ax.numerator, ax.denominator, ay.numerator, ay.denominator)
 

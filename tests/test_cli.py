@@ -161,6 +161,11 @@ class TestConfig:
                 "schedule: finite_step has no entry for the places [2]",
             ),
             ("volume", lambda c: c.update(mc_samples=0), "mc_samples: samples must be an int >= 1, got 0"),
+            (
+                "dirichlet",
+                lambda c: c.update(formats=["pdf"]),
+                "formats: unknown report format 'pdf'; the formats are csv, json, svg",
+            ),
         ],
     )
     def test_bad_config_is_a_usage_error(self, mode, edit, message, tmp_path, monkeypatch, capsys):
@@ -313,6 +318,11 @@ class TestBadInputFiles:
             ("report", lambda o: o.pop("config"), "{path}: config: missing field 'config'"),
             ("report", lambda o: o.pop("records"), "{path}: records: missing field 'records'"),
             ("report", lambda o: o["records"][0].pop("count"), "{path}: records: missing field 'count'"),
+            (
+                "report",
+                lambda o: o["config"].update(formats=["pdf"]),
+                "{path}: config: formats: unknown report format 'pdf'",
+            ),
         ],
         ids=[
             "config-absent",
@@ -323,6 +333,7 @@ class TestBadInputFiles:
             "records-without-config",
             "records-without-records",
             "record-without-count",
+            "records-naming-pdf",
         ],
     )
     def test_is_a_usage_error_naming_the_file(self, mode, edit, message, tmp_path, monkeypatch, capsys):

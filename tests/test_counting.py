@@ -423,6 +423,34 @@ class TestLogLawLadder:
         assert len(calls) <= 1000
 
 
+class TestPowerLawLadder:
+    """The headline ladder, 4 steps and one sample, with the falling real
+    part psi(t) = min(1, t**(-1/2)).  Most walk segments then have an open
+    threshold bracket, and most of their a count the same at both ends."""
+
+    COUNTS = [59, 161, 465, 1333]
+
+    def test_counts_and_threshold_calls(self, monkeypatch):
+        from sapprox.cli import default_config, run
+
+        calls = []
+        value_triple = PowerLaw.value_triple
+
+        def counted(self, *args):
+            calls.append(args)
+            return value_triple(self, *args)
+
+        monkeypatch.setattr(PowerLaw, "value_triple", counted)
+        config = default_config("asymptotic")
+        psi = dataclasses.replace(config.psi, real=PowerLaw(Fraction(1), Fraction(1, 2)))
+        schedule = dataclasses.replace(config.schedule, steps=4)
+        config = dataclasses.replace(config, psi=psi, schedule=schedule, sample_count=1)
+        assert [r.count for r in run(config).records] == self.COUNTS
+        # the walk evaluates psi 237 times on this run; deciding each a that
+        # counts nonzero at the top of an open bracket would take 557
+        assert len(calls) <= 400
+
+
 class TestBruteForceBudget:
     def test_budget_is_checked_before_any_pair(self):
         # a real part that refuses every comparison: only a walk calls it

@@ -3,7 +3,9 @@
 ``perfbench/`` is the measuring stick and changes only with the benchmark,
 so a rename inside sapprox must keep every name it patches or imports.  The
 harness is loaded here by path, read-only: a missing name then fails this
-test rather than a traced benchmark run."""
+test rather than a traced benchmark run.  One traced unit of each workload
+also runs here, so that a changed output digest or a failing gate shows in
+the test suite before it shows in a benchmark run."""
 
 import importlib.util
 import random
@@ -80,3 +82,25 @@ def test_run_box_size_matches_sring(run):
         if run.box_size(*args) != sring.box_size(*args):
             mismatches.append(args)
     assert mismatches == []
+
+
+# output_sha256 of one unit of each workload at seed 1, as perfbench prints it
+UNIT_SHA256 = {
+    "headline": "f70b58c02669ab59eb4a19b9c9b26dbec0835f885f9787bf33eeb0220b8edbfe",
+    "congruence": "25e2f4f2c423abbd67decbdc54bd4f6986858f988918fd32935608fe252347f8",
+    "loglaw": "035914518c813c3ac09a3879c5970c5393afaceeaa55483676c10b80fb64b866",
+    "volume-mc": "d683e027c52f09979823dfa94664487332c3dc193e3b9f3ffec435a3f1fef9c3",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(UNIT_SHA256))
+def test_traced_unit_passes_the_gate_with_the_pinned_digest(run, tracer, workload):
+    # what a benchmark run checks, on one traced unit: the expected layers
+    # record calls, the gate passes, and the output is the pinned one
+    wl = run.WORKLOADS[workload]()
+    inputs = wl.build(1)
+    tr = tracer.sapprox_tracer()
+    with tr:
+        _, out = run.run_unit(wl, inputs)
+    assert [name for name in wl.expect if tr.stats(name).calls == 0] == []
+    assert run.check_outputs(wl, inputs, [out]) == (0, [], UNIT_SHA256[workload])
