@@ -33,17 +33,17 @@ exact Fractions where a closed form exists; a finite place's shell sum is
 always an exact Fraction.
 
 Each real kind states its divergence rule once, in ``tail_diverges`` (a
-power law diverges for a <= 1, a log law for b <= 1), and its
-``integral_to(math.inf)`` asks that rule.  ``integral_diverges`` returns
-the verdict with the value of a convergent integral; ``diverges`` returns
-the verdict alone, from the rule and the finite places' closed-form sums,
-so a campaign decides it without integrating the real place to infinity.
+power law diverges for a <= 1, a log law for b <= 1), and only the base
+``integral_to`` asks it; a kind integrates the rest in ``_integral``.
+``diverges`` is the verdict of ``integral_diverges``, which adds the value
+of a convergent integral.
 
-Only the log law loads mpmath: its interval fallbacks and its quadrature
-import it inside the functions that use it.  The power law's non-rational
-values (the a = 1 logarithm, the root c**(1/a), the power T**(1-a) and the
-float of a :class:`RootVal`) run in 40-digit ``decimal`` arithmetic, which
-``fractions`` loads anyway.
+Every float integral states its rounding by one rule, ``_as_float``: half
+an ulp of the float.  The non-rational closed forms (the power law's a = 1
+logarithm, root c**(1/a) and power T**(1-a), the log law's tail to
+infinity) and the float of a :class:`RootVal` run in 40-digit ``decimal``
+arithmetic, which ``fractions`` loads anyway.  Only the log law loads
+mpmath, for its interval fallbacks and its quadrature at finite T.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _to_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
-#: 40 significant digits, the precision of every non-rational power-law value
+#: 40 significant digits, the precision of every non-rational closed form
 _DEC40 = decimal.Context(prec=40)
 
 
@@ -131,13 +131,21 @@ def _dec_root(x: Fraction, a) -> decimal.Decimal:
     return (_dec(x).ln() / _dec(a)).exp()
 
 
-def _dec_with_error(expr) -> tuple[float, float]:
-    """Evaluate a closed-form positive expression in 40-digit decimal
-    arithmetic and report it with a generous absolute error bound."""
+def _as_float(v, err) -> tuple[float, float]:
+    """A high-precision value v with error bound err as (float, error bound):
+    float(v) rounds to nearest, so the bound takes half an ulp more."""
+    value = float(v)
+    return value, float(err) + math.ulp(value) / 2
+
+
+def _dec_with_error(expr, err=0) -> tuple[float, float]:
+    """``_as_float`` of a closed-form positive expression in 40-digit decimal
+    arithmetic: the formula's error bound err, a generous bound on the
+    arithmetic, and the float's rounding."""
     with decimal.localcontext(_DEC40):
         v = expr()
-        err = abs(v) * decimal.Decimal("1e-30") + decimal.Decimal("1e-30")
-        return float(v), float(err)
+        eps = decimal.Decimal("1e-30")
+        return _as_float(v, abs(v) * eps + eps + _dec(err))
 
 
 # unit roundoff of an IEEE-754 double
@@ -227,14 +235,21 @@ class RealApproxFunction:
 
     def tail_diverges(self) -> bool:
         """Whether the integral over [0, inf) diverges: the one divergence
-        rule of the kind, which ``integral_to(math.inf)`` also asks.  Raises
+        rule of the kind, which only ``integral_to`` asks.  Raises
         IntegralUndecidable when the data cannot decide."""
         raise NotImplementedError
 
     def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
         """(value, absolute error bound) for the integral over [0, T], T
         rational or ``math.inf``; a divergent integral returns (math.inf, 0).
-        The value is a Fraction when exact and a float otherwise."""
+        The value is a Fraction when exact and a float otherwise, whose error
+        bound includes its own rounding."""
+        if T == math.inf and self.tail_diverges():
+            return math.inf, 0
+        return self._integral(T)
+
+    def _integral(self, T):
+        """``integral_to`` at rational T, or at math.inf with a convergent tail."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -251,9 +266,7 @@ class ConstantOne(RealApproxFunction):
     def tail_diverges(self):
         return True
 
-    def integral_to(self, T):
-        if T == math.inf and self.tail_diverges():
-            return math.inf, 0
+    def _integral(self, T):
         return Fraction(T), Fraction(0)
 
     def to_json(self):
@@ -289,12 +302,9 @@ class PowerLaw(RealApproxFunction):
     def tail_diverges(self):
         return self.a <= 1
 
-    def integral_to(self, T):
+    def _integral(self, T):
         to_inf = T == math.inf
-        if to_inf:
-            if self.tail_diverges():
-                return math.inf, 0
-        else:
+        if not to_inf:
             T = Fraction(T)
             if self.value_triple(T.numerator, T.denominator) == (1, 1, 1):  # plateau
                 return T, Fraction(0)
@@ -546,35 +556,29 @@ class LogLaw(RealApproxFunction):
     def tail_diverges(self):
         return self.b <= 1
 
-    def integral_to(self, T):
-        to_inf = T == math.inf
-        if to_inf:
-            if self.tail_diverges():
-                return math.inf, 0
-        else:
+    def _integral(self, T):
+        if T != math.inf:
             T = Fraction(T)
             if T <= 1 or self.leq_value(Fraction(1), T):
                 return T, Fraction(0)  # entirely on the plateau
-        import mpmath
-
         # psi = 1 up to the plateau end t0 in [lo, hi] and psi <= 1 after it,
         # so starting the tail at hi with the plateau term lo is off by at
         # most hi - lo
         lo, hi = self._crossover
+        if T == math.inf:
+
+            def tail():  # b > 1: c / (t (ln t)**b) from hi is c (ln hi)**(1-b) / (b-1)
+                b1 = _dec(self.b) - 1
+                return _dec(lo) + _dec(self.c) * _dec(hi).ln() ** -b1 / b1
+
+            return _dec_with_error(tail, hi - lo)
+        import mpmath
+
         with mpmath.workdps(30):
             c, b = _to_mpf(self.c), _to_mpf(self.b)
-            if to_inf:
-                # b > 1: the tail of c / (t (ln t)**b) from hi is
-                # c (ln hi)**(1-b) / (b-1); 1e-27 relative bounds the
-                # rounding of this 30-digit evaluation
-                total = _to_mpf(lo) + c * mpmath.log(_to_mpf(hi)) ** (1 - b) / (b - 1)
-                value = float(total)
-                return value, float(hi - lo) + float(total) * 1e-27 + math.ulp(value) / 2
             f = lambda r: c / (r * mpmath.log(r) ** b)
             val, quad_err = mpmath.quad(f, [_to_mpf(hi), _to_mpf(T)], error=True)
-            total = _to_mpf(lo) + val
-            err = float(quad_err) + float(hi - lo)
-        return float(total), err
+            return _as_float(_to_mpf(lo) + val, float(quad_err) + float(hi - lo))
 
     def to_json(self):
         return {"kind": "log-law", "c": str(self.c), "b": str(self.b)}
@@ -626,9 +630,7 @@ class UserStep(RealApproxFunction):
             )
         return True  # the constant tail value is positive
 
-    def integral_to(self, T):
-        if T == math.inf and self.tail_diverges():
-            return math.inf, 0
+    def _integral(self, T):
         T = Fraction(T)
         total = Fraction(0)
         prev_t, val = Fraction(0), Fraction(1)
@@ -695,13 +697,13 @@ class Scaled(RealApproxFunction):
     def tail_diverges(self):
         return self.base.tail_diverges()
 
-    def integral_to(self, T):
+    def _integral(self, T):
         # a float val times the Fraction f is float(val) * float(f): float(f)
         # and the product round, together by under two ulps of the value
         val, err = self.base.integral_to(T * self.arg_scale)
         f = self.value_scale / self.arg_scale
         value, err = val * f, err * f
-        if type(value) is float and value != math.inf:
+        if type(value) is float:
             err += 2 * math.ulp(value)
         return value, err
 
@@ -932,14 +934,8 @@ class DivergenceResult:
 
 
 def diverges(psi: ApproxCollection, places: PlaceSet) -> bool:
-    """The verdict of ``integral_diverges`` without the value: the real
-    kind's ``tail_diverges`` rule, then the closed-form shell sums of the
-    finite places.  It raises what ``integral_diverges`` raises on the same
-    collection, but never integrates the real place numerically."""
-    psi.check_places(places)
-    return psi.real.tail_diverges() or any(
-        fn.integral_to(math.inf) == math.inf for _, fn in psi.finite
-    )
+    """The verdict of ``integral_diverges``, without the value."""
+    return integral_diverges(psi, places).divergent
 
 
 def integral_diverges(psi: ApproxCollection, places: PlaceSet) -> DivergenceResult:

@@ -554,18 +554,10 @@ def brute_fibres(req: CountRequest) -> Iterator[tuple]:
         yield q, targets, (m, S, u_inf_p, p_box_exp, cong_p)
 
 
-def bruteforce_cost(req: CountRequest) -> int:
+def bruteforce_cost(req: CountRequest, budget: float = math.inf) -> int:
     """The number of candidate pairs ``count_solutions_bruteforce(req)``
-    checks: the closed-form size of each q's p box, summed over the q box."""
-    return sum(box_size(*p_box) for *_, p_box in brute_fibres(req))
-
-
-def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> int:
-    """Direct enumeration of candidate pairs, each decided by ``contains``.
-    Small profiles only; this is the oracle the fast counter is validated
-    against.  A first pass sums the closed-form p-box sizes and raises
-    BudgetExceeded, before any pair is checked, once the sum passes
-    ``budget``."""
+    checks: the closed-form size of each q's p box, summed over the q box,
+    raising BudgetExceeded at the first q that takes it past ``budget``."""
     spent = 0
     for *_, p_box in brute_fibres(req):
         spent += box_size(*p_box)
@@ -574,6 +566,15 @@ def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> in
                 f"brute force needs more than {budget} candidate pairs; "
                 "shrink the profile or pass a larger budget"
             )
+    return spent
+
+
+def count_solutions_bruteforce(req: CountRequest, budget: int = 2_000_000) -> int:
+    """Direct enumeration of candidate pairs, each decided by ``contains``.
+    Small profiles only; this is the oracle the fast counter is validated
+    against.  A request over ``budget`` fails in ``bruteforce_cost``,
+    before any pair is checked."""
+    bruteforce_cost(req, budget)
     region = req.region()
     total = 0
     for q, targets, p_box in brute_fibres(req):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import re
 import subprocess
@@ -237,19 +236,20 @@ class TestConfig:
         warnings = run(cfg).summary["warnings"]
         assert len(warnings) == 1 and warnings[0].startswith("d = m + n = 2 < 3")
 
-    def test_dichotomy_verdict_never_integrates_to_infinity(self, monkeypatch):
+    def test_dichotomy_verdict_reads_integral_diverges(self, monkeypatch):
+        # the verdict has one rule: the convergent log law's tail is
+        # integrated to infinity, once, by integral_diverges
         from sapprox import approx
 
-        to_inf = []
-        for cls in (approx.LogLaw, approx.Scaled):
-            original = cls.integral_to
+        asked = []
+        original = approx.integral_diverges
 
-            def counted(self, T, original=original):
-                if T == math.inf:
-                    to_inf.append(self)
-                return original(self, T)
+        def counted(psi, places):
+            result = original(psi, places)
+            asked.append((psi, result))
+            return result
 
-            monkeypatch.setattr(cls, "integral_to", counted)
+        monkeypatch.setattr(approx, "integral_diverges", counted)
         psi = ApproxCollection.of(
             approx.LogLaw(Fraction(1), Fraction(2)),
             {2: FiniteApproxFunction(2, 1, 1, (), ("linear", 2, 0))},
@@ -261,7 +261,8 @@ class TestConfig:
             cfg, psi=psi, sample_count=1, schedule=dataclasses.replace(cfg.schedule, steps=4)
         )
         assert run(cfg).summary["integral"] == "convergent"
-        assert to_inf == []
+        [(seen, result)] = asked
+        assert seen == psi and not result.divergent and result.value > 0
 
     @pytest.mark.parametrize("mode", ["asymptotic", "dichotomy"])
     @pytest.mark.parametrize("count", [0, -1])
