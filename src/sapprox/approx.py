@@ -29,8 +29,8 @@ real place and up to block t_p at a finite place.  The volume of E_psi(T)
 is the product of these integrals, and the divergence of the defining
 integral asks the same methods for ``math.inf``, where a divergent integral
 returns ``math.inf``.  A real kind returns (value, absolute error bound),
-exact Fractions where a closed form exists; a finite place's shell sum is
-always an exact Fraction.
+exact Fractions where a closed form exists, and (math.inf, 0) only for a
+divergent integral; a finite place's shell sum is always an exact Fraction.
 
 Each real kind states its divergence rule once, in ``tail_diverges`` (a
 power law diverges for a <= 1, a log law for b <= 1), and only the base
@@ -133,7 +133,8 @@ def _dec_root(x: Fraction, a) -> decimal.Decimal:
 
 def _as_float(v, err) -> tuple[float, float]:
     """A high-precision value v with error bound err as (float, error bound):
-    float(v) rounds to nearest, so the bound takes half an ulp more."""
+    float(v) rounds to nearest, so the bound takes half an ulp more.  A value
+    above the float range is (inf, inf), never the divergence (inf, 0)."""
     value = float(v)
     return value, float(err) + math.ulp(value) / 2
 
@@ -241,7 +242,7 @@ class RealApproxFunction:
 
     def integral_to(self, T: Fraction | float) -> tuple[Fraction | float, Fraction | float]:
         """(value, absolute error bound) for the integral over [0, T], T
-        rational or ``math.inf``; a divergent integral returns (math.inf, 0).
+        rational or ``math.inf``; only a divergent one returns (math.inf, 0).
         The value is a Fraction when exact and a float otherwise, whose error
         bound includes its own rounding."""
         if T == math.inf and self.tail_diverges():
@@ -947,7 +948,8 @@ def integral_diverges(psi: ApproxCollection, places: PlaceSet) -> DivergenceResu
     """
     psi.check_places(places)
     real_val, real_err = psi.real.integral_to(math.inf)
-    real_div = real_val == math.inf
+    # (inf, inf) is a convergent integral above the float range
+    real_div = real_val == math.inf and real_err == 0
     fin_values = [(p, fn.integral_to(math.inf)) for p, fn in psi.finite]
     fin_flags = tuple((p, f == math.inf) for p, f in fin_values)
     if real_div or any(flag for _, flag in fin_flags):

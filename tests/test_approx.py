@@ -583,6 +583,24 @@ class TestIntegralDiverges:
         with pytest.raises(ValueError, match="places"):
             diverges(psi_one(self.S, 1, 1), PlaceSet(()))
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            PowerLaw(Fraction(10**400), Fraction(11, 10)),
+            PowerLaw(Fraction(2 * 10**700), Fraction(2)),
+            LogLaw(Fraction(10**400), Fraction(2)),
+        ],
+        ids=["power-irrational-root", "power-a2", "log-law"],
+    )
+    def test_convergent_above_the_float_range(self, fn):
+        # the tail overflows the float range but converges: an unbounded
+        # error, never the divergence answer (inf, 0)
+        assert fn.integral_to(math.inf) == (math.inf, math.inf)
+        psi = ApproxCollection.of(fn, {}, 1, 1)
+        res = integral_diverges(psi, PlaceSet(()))
+        assert not res.divergent and not res.real_divergent
+        assert not diverges(psi, PlaceSet(()))
+
     def test_linear_tail_threshold(self):
         # z_k = alpha k converges exactly when m*alpha > n
         psi_border = ApproxCollection.of(

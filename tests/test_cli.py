@@ -208,6 +208,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dichotomy"):
             run(cfg)
 
+    def test_convergent_integral_above_the_float_range(self):
+        # the tail is about 4e364: its float overflows, the verdict holds
+        psi = ApproxCollection.of(
+            PowerLaw(Fraction(10**400), Fraction(11, 10)),
+            {2: FiniteApproxFunction(2, 1, 1, (), ("linear", 2, 0))},
+            1,
+            1,
+        )
+        cfg = default_config("dichotomy")
+        cfg = dataclasses.replace(
+            cfg, psi=psi, sample_count=1, schedule=dataclasses.replace(cfg.schedule, steps=4)
+        )
+        assert run(cfg).summary["integral"] == "convergent"
+        with pytest.raises(ConfigError, match="converges"):
+            run(dataclasses.replace(cfg, mode="asymptotic"))
+
     @pytest.mark.parametrize("mode", ["asymptotic", "dichotomy"])
     def test_undecidable_tail_is_a_usage_error_before_any_count(
         self, mode, tmp_path, monkeypatch, capsys
