@@ -27,6 +27,7 @@ from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
 from .counting import (
     CountRequest,
     TruncatedMatrix,
+    check_dirichlet_profile,
     congruence_shift,
     count_solutions,
     default_dirichlet_constants,
@@ -36,7 +37,14 @@ from .counting import (
 )
 from .sampler import SamplerConfig, deepen, sample_matrix
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
-from .volume import Region, check_sample_count, mc_agrees, volume_exact, volume_monte_carlo
+from .volume import (
+    Region,
+    check_monte_carlo_region,
+    check_sample_count,
+    mc_agrees,
+    volume_exact,
+    volume_monte_carlo,
+)
 
 MODES = ("volume", "count", "dirichlet", "asymptotic", "dichotomy", "verify", "report")
 LADDER_MODES = ("volume", "count", "asymptotic", "dichotomy")  # the modes --max-T truncates
@@ -156,6 +164,9 @@ class ExperimentConfig:
         if self.mode == "volume":
             with _field("mc_samples"):
                 check_sample_count(self.mc_samples)
+        if self.mode == "dirichlet":
+            with _field("schedule"):
+                check_dirichlet_profile(_dirichlet_profile(self.schedule))
         if self.dirichlet_constants is not None:
             with _field("dirichlet_constants"):
                 default_dirichlet_constants(self.places, self.dims[0], dict(self.dirichlet_constants))
@@ -478,6 +489,12 @@ def _run_dichotomy(config, jobs, max_product) -> RunResult:
 def _run_volume(config, max_product) -> RunResult:
     prof = config.schedule.profiles(config.dims[1], max_product)[-1]
     region = Region(config.psi, prof, config.places)
+    try:
+        check_monte_carlo_region(region)
+    except ValueError as exc:
+        raise ConfigError(
+            f"schedule: {exc}; lower the schedule's last step, or cap it with --max-T"
+        ) from None
     res = volume_exact(region)
     mc = volume_monte_carlo(region, config.mc_samples, derive_seed(config.seed, "mc"))
     agrees = mc_agrees(res, mc)
@@ -511,10 +528,13 @@ def _run_count(config, jobs, max_product) -> RunResult:
     return RunResult(config, records, summary)
 
 
-def _run_dirichlet(config) -> RunResult:
+def _dirichlet_profile(schedule: Schedule) -> NormProfile:
     # here the schedule exponents bound the norms themselves
-    exps = {p: t for p, t in config.schedule.finite_start}
-    prof = NormProfile.of(config.schedule.real_start, exps)
+    return NormProfile.of(schedule.real_start, dict(schedule.finite_start))
+
+
+def _run_dirichlet(config) -> RunResult:
+    prof = _dirichlet_profile(config.schedule)
     constants = None
     if config.dirichlet_constants is not None:
         constants = dict(config.dirichlet_constants)

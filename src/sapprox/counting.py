@@ -452,9 +452,10 @@ def count_solutions(
             return c
 
         total = 0
+        rows = tuple(enumerate(ds))
         for t in range(count):
             c = 1
-            for i, d in enumerate(ds):
+            for i, d in rows:
                 z = zs[i] + d
                 zs[i] = z = z - G if z >= G else z
                 c *= base - (z > rho) + (z >= top)
@@ -689,13 +690,21 @@ def dirichlet_solve(
     raise SearchExhausted("no solution in the guaranteed box; this is a bug")
 
 
+def check_dirichlet_profile(profile: NormProfile) -> None:
+    """Reject a profile with T_p < 1 at some place of S, where the Dirichlet
+    system is not the theorem's; the message names each such T_p."""
+    low = [f"T_inf = {profile.t_inf}"] if profile.t_inf < 1 else []
+    low += [f"T_{p} = {p}**{e}" for p, e in profile.fin_exp if e < 0]
+    if low:
+        raise ValueError(f"Dirichlet systems need T_p >= 1 at every place; got {', '.join(low)}")
+
+
 def _dirichlet_exponents(profile: NormProfile, places: PlaceSet, consts, m: int, n: int):
     """(p, u_p, j_p, need_p) per prime of S: T_p = p**u_p, j_p the smallest
     j with p**(-j m) <= C_p p**(-u_p n), and need_p = max(j_p, 0) + u_p the
     precision K_p that a q with v_p(q) = -u_p needs (a q with v_p(q) =
     -kappa needs max(j_p, 0) + kappa)."""
-    if profile.t_inf < 1 or any(e < 0 for _, e in profile.fin_exp):
-        raise ValueError("Dirichlet systems need T_p >= 1 at every place")
+    check_dirichlet_profile(profile)
     for p in places.primes:
         u, C = profile.exponent(p), consts[p]
         # log of the integer parts: math.log(C) overflows or underflows when

@@ -224,6 +224,25 @@ def _check_float_radius(name: str, bound: Fraction, dim: str, root: int) -> None
         )
 
 
+def check_monte_carlo_region(region: Region) -> None:
+    """Reject a region whose Monte Carlo box the oracle cannot draw from:
+    T_inf < 1, a real part's sup value that is not a normal float, or a cover
+    radius beyond the float range of the draws."""
+    t_inf = region.profile.t_inf
+    if t_inf < 1:
+        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
+    sup_x = region.psi.real.sup_value()
+    if sup_x <= 0:
+        raise ValueError("degenerate bounding box")
+    if sup_x < Fraction(1, 2**1022):  # its root must start from a normal float
+        raise ValueError(
+            "Monte Carlo oracle requires the real part's sup value >= 2**-1022, the least "
+            f"normal float; got about 2**{_log2(sup_x)}"
+        )
+    _check_float_radius("T_inf", t_inf, "n", region.n)
+    _check_float_radius("the real part's sup value", sup_x, "m", region.m)
+
+
 def check_sample_count(samples) -> None:
     """Reject a Monte Carlo sample count that is not an int >= 1 (a bool
     included), before any draw."""
@@ -299,21 +318,11 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     miss.  The loop inlines the residue draws and builds no per-sample list.
     """
     check_sample_count(samples)
+    check_monte_carlo_region(region)
     m, n = region.m, region.n
     t_inf = region.profile.t_inf
-    if t_inf < 1:
-        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
     psi = region.psi
     sup_x = psi.real.sup_value()
-    if sup_x <= 0:
-        raise ValueError("degenerate bounding box")
-    if sup_x < Fraction(1, 2**1022):  # its root must start from a normal float
-        raise ValueError(
-            "Monte Carlo oracle requires the real part's sup value >= 2**-1022, the least "
-            f"normal float; got about 2**{_log2(sup_x)}"
-        )
-    _check_float_radius("T_inf", t_inf, "n", n)
-    _check_float_radius("the real part's sup value", sup_x, "m", m)
     rx = _cover_radius(sup_x, m)
     ry = _cover_radius(t_inf, n)
 

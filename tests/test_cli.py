@@ -165,6 +165,11 @@ class TestConfig:
                 lambda c: c.update(formats=["pdf"]),
                 "formats: unknown report format 'pdf'; the formats are csv, json, svg",
             ),
+            (
+                "dirichlet",
+                lambda c: c["schedule"].update(finite_start={"2": -1}),
+                "schedule: Dirichlet systems need T_p >= 1 at every place; got T_2 = 2**-1",
+            ),
         ],
     )
     def test_bad_config_is_a_usage_error(self, mode, edit, message, tmp_path, monkeypatch, capsys):
@@ -178,6 +183,21 @@ class TestConfig:
             main([mode, "--config", str(path), "--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_volume_beyond_the_oracle_float_range_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        obj = json.loads((CONFIGS / "volume.json").read_text())
+        obj["schedule"].update(real_start=str(10**400), steps=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        monkeypatch.setattr("sapprox.cli.volume_exact", lambda *a: pytest.fail("volume_exact ran first"))
+        with pytest.raises(SystemExit) as exc:
+            main(["volume", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "schedule: Monte Carlo oracle requires T_inf <= 2**1022" in err
+        assert "cap it with --max-T" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

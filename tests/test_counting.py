@@ -391,6 +391,27 @@ class TestWalk:
         assert count_solutions(req, ladder) == [count_solutions_bruteforce(one) for one in steps]
 
 
+class TestPsiOneIdentity:
+    """With S = {inf, 2}, N = 1, n = 1 and psi = 1 at every place, each
+    fibre's real window [-1, 1] is a whole number of lattice steps, so every
+    q != 0 holds exactly its volume share, and N(T) - V(T) is the q = 0
+    fibre, 3**m, for every A.  At T_inf = 2**14 and T_2 = 2**3 a count walks
+    262,145 q, in progressions far longer than any box of TestWalk reaches."""
+
+    def test_count_minus_volume_is_the_zero_fibre(self):
+        prof = NormProfile.of(Fraction(2**14), {2: 3})
+        assert box_size(1, S2, prof.t_inf, {2: 3}) == 262_145
+        for m in (1, 2, 3):
+            psi = psi_one(S2, m, 1)
+            volume = volume_exact(Region(psi, prof, S2)).total
+            for seed in (7, 8):
+                shallow = SamplerConfig.of(seed, (m, 1), S2, {2: 1})
+                req = CountRequest(S2, sample_matrix(shallow), psi, prof)
+                deep = SamplerConfig.of(seed, (m, 1), S2, precision_needed(req))
+                req = dataclasses.replace(req, matrix=sample_matrix(deep))
+                assert count_solutions(req) - volume == 3**m, (m, seed)
+
+
 class TestLogLawLadder:
     """The shipped 12-step dichotomy-convergent ladder with the benchmark's
     log law c = 1, b = 2, two samples.  The counts were recorded before the
