@@ -182,12 +182,13 @@ def _ln(x: Fraction) -> float:
 class RealApproxFunction:
     """Base of the real-place catalog.  Subclasses are immutable value types.
 
-    A kind defines ``value_triple``, its one exact evaluation; the base class
-    derives ``value_exact``, ``leq_value`` and ``max_root_leq`` from it.  A
-    kind whose triple can be None (the log law with b > 0) overrides those
-    two comparisons: ``leq_value`` decides in floats first, and only a
-    near-tie falls back to interval arithmetic, as does every
-    ``max_root_leq`` (the counter asks ``root_bracket`` first).
+    A kind defines ``value_triple``, its one exact evaluation, which no other
+    module reads; the base class derives ``value_exact``, ``leq_ratio`` (and
+    ``leq_value``), ``root_bracket`` (and ``max_root_leq``) from it.  A kind
+    whose triple can be None (the log law with b > 0) overrides ``leq_value``
+    and ``max_root_leq``, the base's fallbacks there: ``leq_value`` decides
+    in floats first, and only a near-tie falls back to interval arithmetic,
+    as does every ``max_root_leq``; its ``root_bracket`` is a float bracket.
     """
 
     def value_triple(self, tn: int, td: int) -> tuple[int, int, int] | None:
@@ -213,26 +214,41 @@ class RealApproxFunction:
         """sup over (0, inf); rational for every catalog kind."""
         return Fraction(1)
 
-    def _exact_triple(self, t: Fraction) -> tuple[int, int, int]:
-        trip = self.value_triple(t.numerator, t.denominator)
+    def leq_ratio(self, xn: int, xd: int, e: int, tn: int, td: int) -> bool:
+        """Decide (xn/xd)**e <= psi(tn/td) for integers xn >= 0, xd > 0, e >= 1,
+        tn >= 0 and td > 0, cross-multiplied on the triple (vn, vd, w) with
+        integer powers; a kind with no triple at t decides through its own
+        ``leq_value``."""
+        trip = self.value_triple(tn, td)
         if trip is None:
-            raise NotImplementedError
-        return trip
+            return self.leq_value(Fraction(xn, xd) ** e, Fraction(tn, td))
+        vn, vd, w = trip
+        return xn ** (e * w) * vd <= vn * xd ** (e * w)
 
     def leq_value(self, lhs: Fraction, t: Fraction) -> bool:
-        """Decide lhs <= psi(t) exactly (lhs rational, lhs >= 0)."""
+        """Decide lhs <= psi(t) exactly (lhs and t rational, an int or a
+        Fraction, and lhs >= 0)."""
         if lhs <= 0:
             return True
-        vn, vd, w = self._exact_triple(Fraction(t))
-        # lhs <= (vn/vd)**(1/w), cross-multiplied with integer powers
-        return lhs.numerator**w * vd <= vn * lhs.denominator**w
+        return self.leq_ratio(lhs.numerator, lhs.denominator, 1, t.numerator, t.denominator)
+
+    def root_bracket(self, t: Fraction, mult: Fraction, e: int) -> tuple[int, int]:
+        """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi, for
+        rational t >= 0 and mult > 0, each an int or a Fraction.  The base
+        gives the exact (K, K): read off the triple, or from ``max_root_leq``
+        for a kind with no triple at t."""
+        trip = self.value_triple(t.numerator, t.denominator)
+        if trip is None:
+            K = self.max_root_leq(t, mult, e)
+        else:
+            vn, vd, w = trip
+            K = _kernel.introot(vn * mult.numerator**w // (vd * mult.denominator**w), e * w)
+        return K, K
 
     def max_root_leq(self, t: Fraction, mult: Fraction, e: int) -> int:
-        """max{y integer >= 0 : y**e <= psi(t) * mult}."""
-        vn, vd, w = self._exact_triple(Fraction(t))
-        num = vn * mult.numerator**w
-        den = vd * mult.denominator**w
-        return _kernel.introot(num // den, e * w)
+        """max{y integer >= 0 : y**e <= psi(t) * mult}: the base's exact
+        bracket."""
+        return RealApproxFunction.root_bracket(self, t, mult, e)[0]
 
     def tail_diverges(self) -> bool:
         """Whether the integral over [0, inf) diverges: the one divergence
@@ -519,8 +535,11 @@ class LogLaw(RealApproxFunction):
 
     def root_bracket(self, t, mult, e):
         """(k_lo, k_hi) with k_lo <= max_root_leq(t, mult, e) <= k_hi, from
-        floats; an undecided float gives the exact (K, K).  t > 0."""
+        floats for t > 1 and b > 0; the base's exact (K, K) otherwise, and
+        for an undecided float."""
         t, mult = Fraction(t), Fraction(mult)
+        if t <= 1 or self.b == 0:
+            return super().root_bracket(t, mult, e)
         ln_g, decided = self._log_g(t)
         if decided:
             if ln_g > 0:  # plateau: psi = 1 exactly
@@ -535,8 +554,7 @@ class LogLaw(RealApproxFunction):
                     math.floor(root * (1 - FILTER_SLACK)),
                     math.floor(root * (1 + FILTER_SLACK)),
                 )
-        K = self.max_root_leq(t, mult, e)
-        return K, K
+        return super().root_bracket(t, mult, e)
 
     @functools.cached_property
     def _crossover(self) -> tuple[Fraction, Fraction]:

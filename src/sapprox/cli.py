@@ -39,7 +39,6 @@ from .sampler import SamplerConfig, deepen, sample_matrix
 from .sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
 from .volume import (
     Region,
-    check_monte_carlo_region,
     check_sample_count,
     mc_agrees,
     volume_exact,
@@ -489,14 +488,15 @@ def _run_dichotomy(config, jobs, max_product) -> RunResult:
 def _run_volume(config, max_product) -> RunResult:
     prof = config.schedule.profiles(config.dims[1], max_product)[-1]
     region = Region(config.psi, prof, config.places)
+    # the oracle first: a box beyond its float range is a usage error before
+    # any exact volume is computed
     try:
-        check_monte_carlo_region(region)
+        mc = volume_monte_carlo(region, config.mc_samples, derive_seed(config.seed, "mc"))
     except ValueError as exc:
         raise ConfigError(
             f"schedule: {exc}; lower the schedule's last step, or cap it with --max-T"
         ) from None
     res = volume_exact(region)
-    mc = volume_monte_carlo(region, config.mc_samples, derive_seed(config.seed, "mc"))
     agrees = mc_agrees(res, mc)
     summary = {
         "mode": "volume",

@@ -317,7 +317,7 @@ def count_solutions(
     # |A_i a + R b_i| <= Ky, with Ky = floor(psi**(1/m) * gd)
     R, Areal = _real_row_data(req.matrix)
     gd = R * Dq
-    Dqn = Dq**n
+    Dqn, gdm = Dq**n, gd**m
     # q lies in step i's real box iff max_j |a_j| <= B_i
     real_bounds = [
         _kernel.introot((Dqn * prof.t_inf.numerator) // prof.t_inf.denominator, n)
@@ -411,17 +411,8 @@ def count_solutions(
         return out
 
     def threshold(amax):
-        """(k_lo, k_hi) around Ky at sup norm amax: Ky twice where psi has an
-        exact value, else the float bracket of ``root_bracket``."""
-        trip = real_fn.value_triple(amax**n, Dqn)
-        if trip is None:
-            return real_fn.root_bracket(Fraction(amax**n, Dqn), Fraction(gd**m), m)
-        vn, vd, w = trip
-        if vn == vd:
-            return gd, gd
-        E = m * w
-        Ky = _kernel.introot((vn * gd**E) // vd, E)
-        return Ky, Ky
+        """(k_lo, k_hi) around Ky at sup norm amax, psi's ``root_bracket``."""
+        return real_fn.root_bracket(Fraction(amax**n, Dqn), gdm, m)
 
     def walk(zs, ds, G, a, D, count, mo):
         """The summed fibre counts of a, a + D, ..., a + (count - 1) D.  zs
@@ -465,7 +456,7 @@ def count_solutions(
                 k_lo, k_hi = threshold(amax)
                 c = fibre(k_hi)
                 if c and k_lo != k_hi and fibre(k_lo) != c:
-                    c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), Fraction(gd**m), m))
+                    c = fibre(real_fn.max_root_leq(Fraction(amax**n, Dqn), gdm, m))
             total += c
         return total
 
@@ -733,9 +724,12 @@ def _by_height(dim: int, bound: int) -> Iterator[tuple[int, ...]]:
     so the search never materializes the box."""
     yield (0,) * dim
     for H in range(1, bound + 1):
-        for a in itertools.product(range(-H, H + 1), repeat=dim):
-            if max(abs(x) for x in a) == H:
-                yield a
+        # each shell directly: a prefix below H takes only the last
+        # coordinates -H and H
+        full = range(-H, H + 1)
+        for prefix in itertools.product(full, repeat=dim - 1):
+            for x in full if H in map(abs, prefix) else (-H, H):
+                yield (*prefix, x)
 
 
 def _pick_in_ap(lo: int, hi: int, r: int, M: int) -> int | None:

@@ -17,7 +17,7 @@ generator's own primitives, ``random()`` in ``uniform``'s formula and
 ``getrandbits`` in ``randrange``'s loop, in a fixed order that a finite-place
 miss cuts short (the stream contract of ``volume_monte_carlo``).  A float is
 an exact dyadic rational, so the real-place test runs on the integer ratios
-of the draws, cross-multiplied as in ``RealApproxFunction.leq_value``;
+of the draws, through ``RealApproxFunction.leq_ratio``;
 ``contains`` runs the same test on rational points.  Two cuts taken from
 that test once per call decide most draws by float comparisons: y_cut, the
 largest float y with y**n <= T_inf, and the flat corner (x_flat, y_flat),
@@ -129,23 +129,14 @@ def volume_exact(region: Region) -> VolumeResult:
 
 def _real_member(region: Region):
     """The real-place test as a function of the two sup norms, each passed as
-    a numerator and a denominator: ||y||**n <= T_inf, then
-    ||x||**m <= psi_inf(||y||**n).  Both are integer cross-multiplications,
-    the second on the triple (vn, vd, w) as in ``leq_value``; a kind with no
-    triple (the log law with b > 0, bare or scaled) decides through its own
-    ``leq_value``."""
+    a numerator and a denominator: ||y||**n <= T_inf, cross-multiplied, then
+    ||x||**m <= psi_inf(||y||**n), psi's ``leq_ratio``."""
     real, m, n = region.psi.real, region.m, region.n
     bn, bd = region.profile.t_inf.numerator, region.profile.t_inf.denominator
 
     def member(xn: int, xd: int, yn: int, yd: int) -> bool:
         tn, td = yn**n, yd**n
-        if tn * bd > bn * td:
-            return False
-        trip = real.value_triple(tn, td)
-        if trip is None:
-            return real.leq_value(Fraction(xn, xd) ** m, Fraction(tn, td))
-        vn, vd, w = trip
-        return xn ** (m * w) * vd <= vn * xd ** (m * w)
+        return tn * bd <= bn * td and real.leq_ratio(xn, xd, m, tn, td)
 
     return member
 
@@ -224,25 +215,6 @@ def _check_float_radius(name: str, bound: Fraction, dim: str, root: int) -> None
         )
 
 
-def check_monte_carlo_region(region: Region) -> None:
-    """Reject a region whose Monte Carlo box the oracle cannot draw from:
-    T_inf < 1, a real part's sup value that is not a normal float, or a cover
-    radius beyond the float range of the draws."""
-    t_inf = region.profile.t_inf
-    if t_inf < 1:
-        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
-    sup_x = region.psi.real.sup_value()
-    if sup_x <= 0:
-        raise ValueError("degenerate bounding box")
-    if sup_x < Fraction(1, 2**1022):  # its root must start from a normal float
-        raise ValueError(
-            "Monte Carlo oracle requires the real part's sup value >= 2**-1022, the least "
-            f"normal float; got about 2**{_log2(sup_x)}"
-        )
-    _check_float_radius("T_inf", t_inf, "n", region.n)
-    _check_float_radius("the real part's sup value", sup_x, "m", region.m)
-
-
 def check_sample_count(samples) -> None:
     """Reject a Monte Carlo sample count that is not an int >= 1 (a bool
     included), before any draw."""
@@ -318,11 +290,21 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     miss.  The loop inlines the residue draws and builds no per-sample list.
     """
     check_sample_count(samples)
-    check_monte_carlo_region(region)
     m, n = region.m, region.n
     t_inf = region.profile.t_inf
+    if t_inf < 1:
+        raise ValueError("Monte Carlo oracle requires T_inf >= 1")
     psi = region.psi
     sup_x = psi.real.sup_value()
+    if sup_x <= 0:
+        raise ValueError("degenerate bounding box")
+    if sup_x < Fraction(1, 2**1022):  # its root must start from a normal float
+        raise ValueError(
+            "Monte Carlo oracle requires the real part's sup value >= 2**-1022, the least "
+            f"normal float; got about 2**{_log2(sup_x)}"
+        )
+    _check_float_radius("T_inf", t_inf, "n", n)
+    _check_float_radius("the real part's sup value", sup_x, "m", m)
     rx = _cover_radius(sup_x, m)
     ry = _cover_radius(t_inf, n)
 

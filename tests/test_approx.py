@@ -135,6 +135,41 @@ class TestPinnedRealEvaluation:
         assert digest == self.SHA256
 
 
+def contract_kinds() -> list:
+    bases = [
+        ConstantOne(),
+        PowerLaw(Fraction(2), Fraction(1, 2)),
+        UserStep(((Fraction(2), Fraction(1, 2)), (Fraction(5), Fraction(1, 8)))),
+        LogLaw(Fraction(3), Fraction(0)),
+        LogLaw(Fraction(2), Fraction(2)),
+    ]
+    return bases + [Scaled(fn, Fraction(3, 2), Fraction(2, 3)) for fn in bases]
+
+
+class TestRealContract:
+    """Every real kind answers ``root_bracket`` and ``leq_ratio`` at every
+    t >= 0: the bracket holds ``max_root_leq``, which is the exact root
+    threshold, and ``leq_ratio`` agrees with ``leq_value``."""
+
+    @pytest.mark.parametrize("fn", contract_kinds(), ids=repr)
+    def test_bracket_and_comparison(self, fn):
+        rng = random.Random(2025)
+        ts = [Fraction(0), Fraction(1, 2), Fraction(1)]
+        ts += [1 + Fraction(rng.randint(1, 10**6), rng.randint(1, 100)) for _ in range(30)]
+        for t in ts:
+            for _ in range(4):
+                mult = Fraction(rng.randint(1, 10**4), rng.randint(1, 50))
+                e = rng.randint(1, 3)
+                K = fn.max_root_leq(t, mult, e)
+                lo, hi = fn.root_bracket(t, mult, e)
+                assert lo <= K <= hi, (t, mult, e)
+                assert fn.leq_value(K**e / mult, t), (t, mult, e)
+                assert not fn.leq_value((K + 1) ** e / mult, t), (t, mult, e)
+                xn, xd = rng.randint(0, 60), rng.randint(1, 40)
+                got = fn.leq_ratio(xn, xd, e, t.numerator, t.denominator)
+                assert got == fn.leq_value(Fraction(xn, xd) ** e, t), (t, xn, xd, e)
+
+
 def _finite_fn(rng: random.Random, p: int, m: int, n: int) -> FiniteApproxFunction:
     """A seeded finite-place function: a short head, then a constant tail or
     a linear tail that converges or diverges."""

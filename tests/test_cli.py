@@ -186,19 +186,26 @@ class TestConfig:
         assert not out.exists()
 
     def test_volume_beyond_the_oracle_float_range_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
-        obj = json.loads((CONFIGS / "volume.json").read_text())
-        obj["schedule"].update(real_start=str(10**400), steps=1)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        out = tmp_path / "out"
         monkeypatch.setattr("sapprox.cli.volume_exact", lambda *a: pytest.fail("volume_exact ran first"))
-        with pytest.raises(SystemExit) as exc:
-            main(["volume", "--config", str(path), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "schedule: Monte Carlo oracle requires T_inf <= 2**1022" in err
-        assert "cap it with --max-T" in err
-        assert not out.exists()
+        cases = [
+            ({"real_start": str(10**400)}, "Monte Carlo oracle requires T_inf <= 2**1022"),
+            # box volumes of about 2**1105 and 2**1026
+            ({"finite_start": {"2": 1100}}, "Monte Carlo oracle requires a bounding box volume"),
+            ({"real_start": str(2**1022)}, "Monte Carlo oracle requires a bounding box volume"),
+        ]
+        for i, (schedule, message) in enumerate(cases):
+            obj = json.loads((CONFIGS / "volume.json").read_text())
+            obj["schedule"].update(schedule, steps=1)
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(obj))
+            out = tmp_path / f"out{i}"
+            with pytest.raises(SystemExit) as exc:
+                main(["volume", "--config", str(path), "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"schedule: {message}" in err
+            assert "cap it with --max-T" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, mode",

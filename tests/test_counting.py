@@ -36,6 +36,7 @@ from sapprox.checks import (
 from sapprox.counting import (
     AffineLatticeSpec,
     BudgetExceeded,
+    _by_height,
     CountRequest,
     InsufficientPrecision,
     SearchExhausted,
@@ -567,6 +568,19 @@ class TestDirichlet:
         else:
             with pytest.raises(InsufficientPrecision):
                 dirichlet_solve(A, prof, S2, {2: C})
+
+    def test_height_shells_match_the_cube_scan(self):
+        # the reference filters the whole cube [-H, H]**dim for every H
+        def cube_scan(dim, bound):
+            yield (0,) * dim
+            for H in range(1, bound + 1):
+                for a in itertools.product(range(-H, H + 1), repeat=dim):
+                    if max(map(abs, a)) == H:
+                        yield a
+
+        for dim in (1, 2, 3):
+            for bound in range(10):
+                assert list(_by_height(dim, bound)) == list(cube_scan(dim, bound)), (dim, bound)
 
     def test_zero_real_constant_asks_for_an_exact_pair(self):
         # C_inf = 0 asks for A q + p = 0 at the real place
