@@ -34,7 +34,6 @@ from .approx import (  # noqa: F401
 )
 from .volume import Region, VolumeResult, contains, volume_exact, volume_monte_carlo  # noqa: F401
 from .counting import (  # noqa: F401
-    AffineLatticeSpec,
     CountRequest,
     InsufficientPrecision,
     TruncatedMatrix,

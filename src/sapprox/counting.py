@@ -95,8 +95,9 @@ class BudgetExceeded(RuntimeError):
 
 
 class SearchExhausted(RuntimeError):
-    """The Dirichlet search scanned the whole guaranteed box without success:
-    this indicates an implementation or precision bug, not a counterexample."""
+    """The Dirichlet search scanned the whole box without success: a bug
+    when every constant is at least its default, else a legitimate outcome
+    of constants below the Dirichlet guarantee."""
 
 
 # --------------------------------------------------------------------------
@@ -629,8 +630,10 @@ def dirichlet_solve(
     p**e_p, e_p = max(u_p, -j_p), clears every admissible p, and the balls
     become one congruence per coordinate, b_i = -(D / Dq) (Atil a)_i
     (mod M) with M = prod p**(j_p + e_p).  Of the b_i that also lie in the
-    real window it takes the largest <= 0, else the smallest.  Exhausting the box (which
-    the pigeonhole guarantee forbids) raises SearchExhausted.
+    real window it takes the largest <= 0, else the smallest.  Exhausting the
+    box raises SearchExhausted.  The pigeonhole guarantee forbids that when
+    every constant is at least its default; below it, no solution is a
+    legitimate outcome, and the message names the low constants.
     """
     m, n = matrix.shape
     consts = default_dirichlet_constants(places, m, constants)
@@ -678,6 +681,13 @@ def dirichlet_solve(
             q = tuple(Fraction(aj, Dq) for aj in a)
             verify_dirichlet(matrix, profile, places, consts, pvec, q)
             return pvec, q
+    defaults = default_dirichlet_constants(places, m)
+    low = [f"C_{key} = {c}" for key, c in consts.items() if c < defaults[key]]
+    if low:
+        raise SearchExhausted(
+            "no solution in the box; a legitimate outcome, since these constants lie"
+            f" below the Dirichlet guarantee (C_inf >= 1, C_p >= p**m): {', '.join(low)}"
+        )
     raise SearchExhausted("no solution in the guaranteed box; this is a bug")
 
 
@@ -804,181 +814,13 @@ def rescale_congruence(
 
 
 # --------------------------------------------------------------------------
-# discrepancy and explicit affine lattices
+# discrepancy and explicit point lists
 
 
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    d = len(mat)
-    if d == 1:
-        return mat[0][0]
-    out = Fraction(0)
-    for j in range(d):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        out += term if j % 2 == 0 else -term
-    return out
-
-
-def _mat_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(mat)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                fac = aug[r][col]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
-@dataclass(frozen=True)
-class AffineLatticeSpec:
-    """g(dilation * Z_S^d + shift) for per-place generators g_p of
-    determinant norm 1; shift is a diagonal rational vector."""
-
-    generators: tuple[tuple[object, tuple[tuple[Fraction, ...], ...]], ...]
-    shift: tuple[Fraction, ...]
-    dilation: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "shift", tuple(Fraction(c) for c in self.shift)
-        )
-        if self.dilation < 1:
-            raise ValueError("dilation must be a positive integer")
-        d = len(self.shift)
-        for place, mat in self.generators:
-            if len(mat) != d or any(len(r) != d for r in mat):
-                raise ValueError("generator shape must match the shift dimension")
-            det = _det([list(r) for r in mat])
-            if place == REAL_PLACE:
-                if abs(det) != 1:
-                    raise ValueError("real generator must have |det| = 1")
-            else:
-                if padic_valuation(det, place) != 0:
-                    raise ValueError(f"generator at {place} must have |det|_p = 1")
-
-    @classmethod
-    def of(cls, generators: Mapping, shift: Sequence, dilation: int = 1):
-        gens = tuple(
-            sorted(
-                (
-                    (pl, tuple(tuple(Fraction(e) for e in row) for row in mat))
-                    for pl, mat in generators.items()
-                ),
-                key=lambda kv: (kv[0] != REAL_PLACE, kv[0] if kv[0] != REAL_PLACE else 0),
-            )
-        )
-        return cls(gens, tuple(Fraction(c) for c in shift), dilation)
-
-    def generator(self, place) -> tuple[tuple[Fraction, ...], ...]:
-        return lookup(self.generators, place)
-
-
-def embed_unipotent(matrix: TruncatedMatrix, places: PlaceSet) -> dict:
-    """Per-place generators [[I_m, A], [0, I_n]] from a truncated matrix,
-    using the finite-place representatives as exact entries."""
-    m, n = matrix.shape
-    d = m + n
-
-    def block(amat) -> tuple:
-        rows = []
-        for i in range(m):
-            rows.append(
-                tuple(Fraction(int(i == j)) for j in range(m)) + tuple(amat[i])
-            )
-        for i in range(n):
-            rows.append(
-                tuple(Fraction(0) for _ in range(m))
-                + tuple(Fraction(int(i == j)) for j in range(n))
-            )
-        return tuple(rows)
-
-    gens = {REAL_PLACE: block(matrix.real)}
-    for p in places.primes:
-        gens[p] = block(
-            [[matrix.finite_fraction(p, i, j) for j in range(n)] for i in range(m)]
-        )
-    return gens
-
-
-def lattice_points_in_region(
-    spec: AffineLatticeSpec, region: Region, budget: int = 500_000
-) -> Iterator[tuple[dict, dict]]:
-    """Enumerate the lattice points that land inside the region, yielding
-    per-place (x_at, y_at) coordinate dictionaries."""
-    m, n = region.m, region.n
-    d = m + n
-    if len(spec.shift) != d:
-        raise ValueError("lattice dimension does not match the region")
-    places = region.places
-
-    # radii of the region's bounding box, bounded rationally from above
-    sup = region.psi.real.sup_value()
-    r_real = max(Fraction(1), sup, region.profile.t_inf)
-    exps = {p: max(region.profile.exponent(p) // n, 0) for p in places.primes}
-
-    # pull back through the inverse generators
-    inv_real = _mat_inverse([list(r) for r in spec.generator(REAL_PLACE)])
-    row_sums = [sum(abs(e) for e in row) for row in inv_real]
-    w_real = max(row_sums) * r_real
-    w_exp = {}
-    for p in places.primes:
-        inv_p = _mat_inverse([list(r) for r in spec.generator(p)])
-        worst = max(
-            int(-padic_valuation(e, p)) for row in inv_p for e in row if e != 0
-        )
-        w_exp[p] = worst + exps[p]
-
-    # clear the non-S part of the shift denominators
-    N0 = 1
-    for c in spec.shift:
-        den = c.denominator
-        for p in places.primes:
-            while den % p == 0:
-                den //= p
-        N0 = N0 * den // math.gcd(N0, den)
-    mod = N0 * spec.dilation
-    if not places.admissible_modulus(mod):
-        raise ValueError("shift denominator and dilation must be coprime to S")
-    resid = tuple(c * N0 for c in spec.shift)
-
-    count = 0
-    for z in enumerate_box(
-        d, places, Fraction(N0) * w_real, w_exp, congruence=(mod, resid) if mod > 1 else None
-    ):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded("lattice enumeration budget exceeded")
-        w = tuple(c / N0 for c in z)
-        x_at, y_at = {}, {}
-        for place in places.all_places():
-            mat = spec.generator(place)
-            img = tuple(
-                sum(mat[i][j] * w[j] for j in range(d)) for i in range(d)
-            )
-            x_at[place] = img[:m]
-            y_at[place] = img[m:]
-        if contains(region, x_at, y_at):
-            yield x_at, y_at
-
-
-def discrepancy(lam, region: Region, budget: int = 500_000) -> Fraction | float:
-    """|#(Lambda intersect E) - vol(E)| for an explicit point list or an
-    affine lattice with enumerable intersection."""
-    if isinstance(lam, AffineLatticeSpec):
-        hits = sum(1 for _ in lattice_points_in_region(lam, region, budget))
-    else:
-        hits = 0
-        for x, y in lam:
-            member = contains if isinstance(x, Mapping) else contains_pair
-            if member(region, x, y):
-                hits += 1
+def discrepancy(points: Sequence, region: Region) -> Fraction | float:
+    """|#(points in E) - vol(E)| for a list of diagonally embedded pairs
+    (x, y), each decided by ``contains_pair``."""
+    hits = sum(1 for x, y in points if contains_pair(region, x, y))
     vol = volume_exact(region).total
     if isinstance(vol, Fraction):
         return abs(hits - vol)

@@ -34,7 +34,6 @@ from sapprox.checks import (
     check_xq_bound,
 )
 from sapprox.counting import (
-    AffineLatticeSpec,
     BudgetExceeded,
     _by_height,
     CountRequest,
@@ -48,7 +47,6 @@ from sapprox.counting import (
     dirichlet_precision_needed,
     dirichlet_solve,
     discrepancy,
-    embed_unipotent,
     is_symmetric,
     precision_needed,
     profile_count_bound,
@@ -569,6 +567,18 @@ class TestDirichlet:
             with pytest.raises(InsufficientPrecision):
                 dirichlet_solve(A, prof, S2, {2: C})
 
+    def test_exhausted_search_below_the_guarantee_is_no_bug(self):
+        # C_inf = 10**-40 asks for |A q + p| <= 10**-40 / T_inf, which no q
+        # in the box meets; the message names the low constant
+        A = TruncatedMatrix.of([[Fraction(12345678912345678911, 2**64)]], {2: [[1]]}, {2: 10})
+        prof = NormProfile.of(Fraction(6000), {2: 1})
+        with pytest.raises(SearchExhausted) as exc:
+            dirichlet_solve(A, prof, S2, {REAL_PLACE: Fraction(1, 10**40)})
+        text = str(exc.value)
+        assert "bug" not in text
+        assert "below the Dirichlet guarantee" in text
+        assert f"C_inf = {Fraction(1, 10**40)}" in text and "C_2" not in text
+
     def test_height_shells_match_the_cube_scan(self):
         # the reference filters the whole cube [-H, H]**dim for every H
         def cube_scan(dim, bound):
@@ -624,44 +634,14 @@ class TestDiscrepancy:
         S0 = PlaceSet(())
         for m, n in ((1, 1), (2, 1)):
             reg = Region(psi_one(S0, m, n), NormProfile.of(Fraction(1), {}), S0)
-            gens = {REAL_PLACE: [[Fraction(int(i == j)) for j in range(m + n)] for i in range(m + n)]}
-            lam = AffineLatticeSpec.of(gens, [Fraction(0)] * (m + n))
+            unit = [Fraction(c) for c in (-1, 0, 1)]
+            pts = [
+                (x, y)
+                for x in itertools.product(unit, repeat=m)
+                for y in itertools.product(unit, repeat=n)
+            ]
             # integer points with sup norm <= 1 per block: 3^(m+n); volume 2^(m+n)
-            assert discrepancy(lam, reg) == 3 ** (m + n) - 2 ** (m + n)
-
-    def test_unipotent_lattice_matches_counter(self):
-        cfg = SamplerConfig.of(31, (1, 1), S2, {2: 10}, 2**8)
-        A = sample_matrix(cfg)
-        psi = psi_one(S2, 1, 1)
-        prof = NormProfile.of(Fraction(2), {2: 1})
-        req = CountRequest(S2, A, psi, prof)
-        expected = count_solutions(req)
-        lam = AffineLatticeSpec.of(embed_unipotent(A, S2), [Fraction(0)] * 2)
-        reg = Region(psi, prof, S2)
-        vol = volume_exact(reg).total
-        assert discrepancy(lam, reg) == abs(expected - vol)
-
-    def test_dilated_lattice_congruence_count(self):
-        # g(N Z_S^d + v) with g = u_A reproduces the congruence-constrained count
-        cfg = SamplerConfig.of(37, (1, 1), S2, {2: 10}, 2**8)
-        A = sample_matrix(cfg)
-        psi = psi_one(S2, 1, 1)
-        prof = NormProfile.of(Fraction(3), {2: 1})
-        shift = (Fraction(1), Fraction(2))
-        req = CountRequest(S2, A, psi, prof, 3, shift)
-        expected = count_solutions(req)
-        lam = AffineLatticeSpec.of(embed_unipotent(A, S2), shift, dilation=3)
-        reg = Region(psi, prof, S2)
-        vol = volume_exact(reg).total
-        assert discrepancy(lam, reg) == abs(expected - vol)
-
-    def test_generator_determinant_validation(self):
-        with pytest.raises(ValueError):
-            AffineLatticeSpec.of({REAL_PLACE: [[Fraction(2)]]}, [Fraction(0)])
-        with pytest.raises(ValueError):
-            AffineLatticeSpec.of(
-                {REAL_PLACE: [[Fraction(1)]], 2: [[Fraction(2)]]}, [Fraction(0)]
-            )
+            assert discrepancy(pts, reg) == 3 ** (m + n) - 2 ** (m + n)
 
     def test_sandwich_randomized(self):
         rng = random.Random(88)
@@ -885,7 +865,7 @@ class TestPinnedFibreTables:
     before the solver and the fibre oracle took the box denominator: any
     solution, exception or hit count that moves shows here."""
 
-    DIRICHLET_SHA256 = "f5fadf146ab202b4bcad3170d5affb1d451ed78003478d86f2b8e7222f04c972"
+    DIRICHLET_SHA256 = "040562e8fb8ea679b5124d903d7b4466d41ebe1ec2fede0d17b86af342c9b67c"
     FIBRE_SHA256 = "b3d0668edd4969a86db5ad946063681a1c5fe27b1c5ae087127973f57d2c36b2"
 
     def test_dirichlet_table(self):
