@@ -22,7 +22,10 @@ lhs <= psi(t) whenever ln lhs and ln psi(t) differ by more than the slack
 (the filtered-predicate pattern of Shewchuk 1997 and Bronnimann, Burnikel
 and Pion 2001).  Only a near-tie runs in rigorous interval arithmetic with
 escalating precision, which raises :class:`UndecidedComparison` on a
-persistent tie instead of ever miscounting.
+persistent tie instead of ever miscounting.  The power law has one more
+float filter, ``float_leq``: a decider of ax**m <= psi(ay**n) on two
+floats, which the Monte Carlo oracle asks before its exact test and which
+answers only outside the same slack.
 
 Each function has one local integral, ``integral_to``: up to T_inf at the
 real place and up to block t_p at a finite place.  The volume of E_psi(T)
@@ -250,6 +253,14 @@ class RealApproxFunction:
         bracket."""
         return RealApproxFunction.root_bracket(self, t, mult, e)[0]
 
+    def float_leq(self, m: int, n: int):
+        """A float filter for ax**m <= psi(ay**n), or None for a kind with no
+        cheap float form (the base's answer).  The filter is a function
+        ``decide(ax, ay)`` of two floats that returns True or False when the
+        two sides differ by more than FILTER_SLACK (relative), and None
+        otherwise; the caller decides a None exactly."""
+        return None
+
     def tail_diverges(self) -> bool:
         """Whether the integral over [0, inf) diverges: the one divergence
         rule of the kind, which only ``integral_to`` asks.  Raises
@@ -315,6 +326,60 @@ class PowerLaw(RealApproxFunction):
             return 1, 1, 1
         # c * t**(-u/w) = (c**w / t**u) ** (1/w)
         return cn**w * td**u, cd**w * tn**u, w
+
+    def float_leq(self, m, n):
+        """``decide(ax, ay)`` for ax**m <= psi(ay**n) by direct float powers:
+        psi = min(1, c / ay**(a n)), clamped at 1, against ax**m.
+
+        It answers only for ax in [2**(-900/m), 2**(900/m)] and ay in
+        [1/y_hi, y_hi], y_hi = 2**min(900/(a n), 900), where both powers
+        lie within about 2**(+-900), normal and finite.  Every other draw (0,
+        a subnormal, inf, nan, or a power that would leave that range) is
+        None, and so is the whole filter for a n outside [2**-10, 2**10] or
+        c > 2**64, whose floats could overflow or vanish.
+
+        Error budget, with u = 2**-53 and the float rules of
+        ``LogLaw._log_g`` (+, -, *, / and ``float(Fraction)`` within u
+        relative; ``**`` taken to be faithful, like ``math.log``: within 2u):
+
+        - float(a n) is a n (1 + d) with |d| <= u.  In range,
+          |a n ln ay| <= 900 ln 2 (1 + 3u) < 624, so ay**float(a n) is
+          ay**(a n) times exp(d a n ln ay), within 625u; the power adds 2u,
+          and float(c) and the division u each: the computed g is within
+          630u of c / ay**(a n), relative.
+        - The clamp keeps that relative error: min(1, g (1 + r)) lies
+          between (1 - |r|) min(1, g) and (1 + |r|) min(1, g).
+        - ax**m is within 2u (exact for m = 1).
+        - psi * (1 -/+ FILTER_SLACK) rounds the constant and the product:
+          2u more.
+
+        So a computed side is off by less than 640u < 7.2e-14 relative,
+        within the float budget of the log law (1e-12), and a decision
+        outside the slack 1e-9 holds with a margin of more than 10,000.
+        """
+        e = self.a * n
+        if not (Fraction(1, 2**10) <= e <= 2**10 and self.c <= 2**64):
+            return None
+        c, e = float(self.c), float(e)
+        x_hi = 2.0 ** (900 / m)
+        x_lo = 1 / x_hi
+        y_hi = 2.0 ** min(900 / e, 900.0)
+        y_lo = 1 / y_hi
+        below, above = 1 - FILTER_SLACK, 1 + FILTER_SLACK
+
+        def decide(ax: float, ay: float) -> bool | None:
+            if x_lo <= ax <= x_hi and y_lo <= ay <= y_hi:
+                lhs = ax**m
+                psi = c / ay**e
+                if psi > 1.0:
+                    psi = 1.0
+                if lhs < psi * below:
+                    return True
+                if lhs > psi * above:
+                    return False
+            return None
+
+        return decide
 
     def tail_diverges(self):
         return self.a <= 1

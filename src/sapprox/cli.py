@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
 from .counting import (
     CountRequest,
+    SearchExhausted,
     TruncatedMatrix,
     check_dirichlet_profile,
     congruence_shift,
@@ -539,23 +540,33 @@ def _run_dirichlet(config) -> RunResult:
     if config.dirichlet_constants is not None:
         constants = dict(config.dirichlet_constants)
     records = []
-    solved = 0
+    solved = unsolved = 0
     for i in range(config.sample_count):
         scfg = _sampler_config(config, i)
         A = sample_matrix(scfg)
         start = time.perf_counter()
         A, events = _deepened(A, dirichlet_precision_needed(A, prof, config.places, constants))
-        # dirichlet_solve verifies its pair before returning it
-        pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
+        try:
+            # dirichlet_solve verifies its pair before returning it
+            pvec, qvec = dirichlet_solve(A, prof, config.places, constants)
+        except SearchExhausted as exc:
+            if not exc.legitimate:  # constants at the guarantee: a bug
+                raise
+            unsolved += 1
+            count = 0
+            events.append(f"unsolved: {exc}")
+        else:
+            solved += 1
+            count = 1
+            events += [f"p={_vec(pvec)}", f"q={_vec(qvec)}"]
         elapsed = time.perf_counter() - start
-        solved += 1
-        events += [f"p={_vec(pvec)}", f"q={_vec(qvec)}"]
-        records.append(_record(config, prof, i, scfg.seed, 0, 0, 1, 1.0, elapsed, events))
+        records.append(_record(config, prof, i, scfg.seed, 0, 0, count, float(count), elapsed, events))
     summary = {
         "mode": "dirichlet",
         "instances": config.sample_count,
         "solved_and_verified": solved,
-        "passed": solved == config.sample_count,
+        "unsolved": unsolved,
+        "passed": solved + unsolved == config.sample_count,
     }
     return RunResult(config, records, summary)
 

@@ -97,7 +97,11 @@ class BudgetExceeded(RuntimeError):
 class SearchExhausted(RuntimeError):
     """The Dirichlet search scanned the whole box without success: a bug
     when every constant is at least its default, else a legitimate outcome
-    of constants below the Dirichlet guarantee."""
+    of constants below the Dirichlet guarantee, which ``legitimate`` marks."""
+
+    def __init__(self, message: str, legitimate: bool = False):
+        super().__init__(message)
+        self.legitimate = legitimate
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +690,8 @@ def dirichlet_solve(
     if low:
         raise SearchExhausted(
             "no solution in the box; a legitimate outcome, since these constants lie"
-            f" below the Dirichlet guarantee (C_inf >= 1, C_p >= p**m): {', '.join(low)}"
+            f" below the Dirichlet guarantee (C_inf >= 1, C_p >= p**m): {', '.join(low)}",
+            legitimate=True,
         )
     raise SearchExhausted("no solution in the guaranteed box; this is a bug")
 

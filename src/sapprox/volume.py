@@ -21,8 +21,10 @@ of the draws, through ``RealApproxFunction.leq_ratio``;
 ``contains`` runs the same test on rational points.  Two cuts taken from
 that test once per call decide most draws by float comparisons: y_cut, the
 largest float y with y**n <= T_inf, and the flat corner (x_flat, y_flat),
-inside which psi is still its sup.  Each finite place is a running gcd of
-its residues.  The bounding box volume is exact, so the only error is binomial.
+inside which psi is still its sup.  A draw between the two asks psi's float
+filter ``float_leq`` first, where the kind has one, and only its None goes
+to the exact test.  Each finite place is a running gcd of its residues.
+The bounding box volume is exact, so the only error is binomial.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Region:
         return self.profile.exponent(p) // self.psi.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolumeResult:
     """Exact factored volume: total = 2**m * real_factor * prod(finite factors)."""
 
@@ -183,7 +185,7 @@ def contains_pair(region: Region, x_vec: Sequence[Fraction], y_vec: Sequence[Fra
 # Monte Carlo oracle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonteCarloResult:
     estimate: float
     std_error: float
@@ -280,8 +282,10 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     running max over the draws.  Three floats, each the largest passing its
     exact test (``_real_cuts``), decide most draws: a y sup norm above y_cut
     misses; at or below y_flat the draw is in exactly when the x sup norm is
-    at most x_flat; every other draw runs ``_real_member`` on the integer
-    ratios.  At a finite place the running gcd of p**depth and the y residues
+    at most x_flat; every other draw asks psi's float filter ``float_leq``
+    first, and only a draw it leaves undecided (every draw, for a kind with
+    no filter) runs ``_real_member`` on the integer ratios.
+    At a finite place the running gcd of p**depth and the y residues
     is p**(min valuation), which a per-call dict maps to the x test p**z (0
     for none); the x residues pass when p**z divides their running gcd.  A
     place that cannot reject only draws its residues, with the same
@@ -334,6 +338,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         )
     member = _real_member(region)
     y_cut, x_flat, y_flat = _real_cuts(region, member, rx, ry)
+    decide = psi.real.float_leq(m, n)  # a band draw has ay**n <= T_inf
     x0, y0 = -rx, -ry
     wx, wy = rx - x0, ry - y0
     gcd = math.gcd
@@ -359,7 +364,9 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
             elif ay <= y_flat:
                 ok = ax <= x_flat
             else:
-                ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
+                ok = decide(ax, ay) if decide else None
+                if ok is None:
+                    ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
             for my, ky, mx, kx, x_test in fin_data:
                 if not (ok and x_test):  # this place cannot reject: draw only
                     for _ in range(n):

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -471,6 +472,114 @@ class TestLogLawFloat:
     def test_filter_matches_interval_arithmetic(self, seed):
         ok, detail = check_loglaw_filter(random.Random(seed), rounds=40, ties=10)
         assert ok, detail
+
+
+def float_leq_exact(fn, ax: float, m: int, ay: float, n: int) -> bool:
+    """ax**m <= psi(ay**n), decided exactly on the integer ratios."""
+    yn, yd = ay.as_integer_ratio()
+    return fn.leq_ratio(*ax.as_integer_ratio(), m, yn**n, yd**n)
+
+
+def psi_high_precision(fn: PowerLaw, ay: float, n: int) -> mpmath.mpf:
+    """min(1, c * (ay**n)**(-a)) to 60 digits."""
+    with mpmath.workdps(60):
+        c = mpmath.mpf(fn.c.numerator) / fn.c.denominator
+        a = mpmath.mpf(fn.a.numerator) / fn.a.denominator
+        return min(mpmath.mpf(1), c * mpmath.mpf(ay) ** (-a * n))
+
+
+FILTER_LAWS = [
+    PowerLaw(Fraction(c), Fraction(a))
+    for c in (1, 2, 3, Fraction(7, 2))
+    for a in (Fraction(1, 2), 1, 2, Fraction(5, 3))
+]
+DIMS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestPowerLawFloatFilter:
+    """``PowerLaw.float_leq``: a decided draw agrees with ``leq_ratio``, and
+    a draw within the slack of psi, or outside the filter's float range, is
+    undecided."""
+
+    @pytest.mark.parametrize("fn", FILTER_LAWS, ids=repr)
+    def test_agrees_with_the_exact_comparison(self, fn):
+        rng = random.Random(f"float-leq/{fn!r}")
+        for m, n in DIMS:
+            decide = fn.float_leq(m, n)
+            decided = 0
+            for i in range(150):
+                ay = rng.uniform(0.0, 6.0) if i % 2 else math.exp(rng.uniform(-4.0, 6.0))
+                if i % 3:  # x**m near psi, on both sides of it
+                    psi = float(psi_high_precision(fn, ay, n))
+                    ax = psi ** (1 / m) * (1 + rng.uniform(-0.01, 0.01))
+                else:  # x**m up to 4: above the clamp where psi = 1
+                    ax = rng.uniform(0.0, 2.0)
+                got = decide(ax, ay)
+                if got is not None:
+                    decided += 1
+                    assert got == float_leq_exact(fn, ax, m, ay, n), (m, n, ax, ay)
+            assert decided >= 140, (m, n, decided)
+
+    @pytest.mark.parametrize("fn", FILTER_LAWS, ids=repr)
+    def test_near_ties_are_undecided(self, fn):
+        rng = random.Random(f"float-leq-ties/{fn!r}")
+        for m, n in DIMS:
+            decide = fn.float_leq(m, n)
+            for i in range(60):
+                ay = rng.uniform(0.01, 3.0) if i % 2 else math.exp(rng.uniform(-3.0, 6.0))
+                psi = psi_high_precision(fn, ay, n)
+                with mpmath.workdps(60):
+                    ax = float(psi ** (mpmath.mpf(1) / m) * (1 + rng.uniform(-1e-13, 1e-13)))
+                    gap = abs(mpmath.mpf(ax) ** m / psi - 1)
+                assert gap < 1e-12, (m, n, ax, ay)
+                assert decide(ax, ay) is None, (m, n, ax, ay, gap)
+
+    @pytest.mark.parametrize("fn", FILTER_LAWS, ids=repr)
+    def test_edge_draws_are_undecided_or_exact(self, fn):
+        big = sys.float_info.max
+        for m, n in DIMS:
+            decide = fn.float_leq(m, n)
+            # the plateau end, where c * t**(-a) = 1, and floats around it
+            with mpmath.workdps(60):
+                e = fn.a * n
+                end = float(mpmath.root(mpmath.mpf(fn.c.numerator) / fn.c.denominator, e.numerator) ** e.denominator)
+            ends = [end, math.nextafter(end, 0), math.nextafter(end, math.inf), end * (1 + 1e-12)]
+            xs = [0.0, 5e-324, 1e-200, 2.0**-600, 1.0, math.nextafter(1.0, 0), math.nextafter(1.0, 2), 0.5, 2.0]
+            ys = [5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e200, 2.0**600, big, *ends]
+            for ax in xs:
+                for ay in ys:
+                    got = decide(ax, ay)
+                    assert got is None or got == float_leq_exact(fn, ax, m, ay, n), (m, n, ax, ay)
+            for ay in ends:  # psi within the slack of 1
+                assert decide(1.0, ay) is None, (m, n, ay)
+            for ax, ay in ((math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (0.5, math.inf), (-0.5, 2.0)):
+                assert decide(ax, ay) is None
+
+    def test_far_from_the_ties_is_decided(self):
+        fn = PowerLaw(Fraction(2), Fraction(1))
+        decide = fn.float_leq(1, 1)
+        assert decide(0.5, 1.0) is True  # psi = 1 on the plateau
+        assert decide(1.5, 1.0) is False  # clamped: 1.5 <= 2 * 1**-1 but not <= 1
+        assert decide(0.2, 4.0) is True and decide(0.8, 4.0) is False  # psi(4) = 1/2
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            ConstantOne(),
+            LogLaw(Fraction(3), Fraction(0)),
+            LogLaw(Fraction(2), Fraction(2)),
+            UserStep(((Fraction(2), Fraction(1, 2)), (Fraction(5), Fraction(1, 8)))),
+            Scaled(PowerLaw(Fraction(2), Fraction(1, 2)), Fraction(3, 2), Fraction(2, 3)),
+            Scaled(LogLaw(Fraction(2), Fraction(2)), Fraction(3, 2), Fraction(2, 3)),
+            PowerLaw(Fraction(2**64 + 1), Fraction(1)),
+            PowerLaw(Fraction(1), Fraction(2**10 + 1)),
+            PowerLaw(Fraction(1), Fraction(1, 2**12)),
+        ],
+        ids=repr,
+    )
+    def test_kinds_without_a_float_form_have_no_filter(self, fn):
+        for m, n in DIMS:
+            assert fn.float_leq(m, n) is None
 
 
 class TestValidation:

@@ -29,7 +29,13 @@ from sapprox.cli import (
     result_from_json,
     run,
 )
-from sapprox.counting import CountRequest, count_solutions, count_solutions_bruteforce, dirichlet_solve
+from sapprox.counting import (
+    CountRequest,
+    SearchExhausted,
+    count_solutions,
+    count_solutions_bruteforce,
+    dirichlet_solve,
+)
 from sapprox.sampler import SamplerConfig, deepen, sample_matrix
 from sapprox.sring import REAL_PLACE, NormProfile, PlaceSet, derive_seed
 from sapprox.volume import Region, volume_exact
@@ -556,6 +562,37 @@ class TestRunAndReports:
         res = run(cfg)
         assert res.summary["solved_and_verified"] == 5
         assert res.exit_code == 0
+
+    def test_dirichlet_unsolved_samples_below_the_guarantee(self, tmp_path, capsys):
+        # C_inf = 0 asks for an exact real pair, which none of these samples
+        # has: each is recorded with count 0, and the run exits 0
+        obj = json.loads((CONFIGS / "dirichlet.json").read_text())
+        obj["dirichlet_constants"] = {"inf": "0"}
+        obj["sample_count"] = 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert main(["dirichlet", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "unsolved: 3" in capsys.readouterr().out
+        blob = json.loads((tmp_path / "records.json").read_text())
+        assert blob["summary"]["solved_and_verified"] == 0
+        assert blob["summary"]["unsolved"] == 3 and blob["summary"]["passed"]
+        for rec in blob["records"]:
+            assert rec["count"] == 0
+            (event,) = rec["events"]
+            assert event.startswith("unsolved: no solution in the box") and "C_inf = 0" in event
+        rows = csv_to_rows((tmp_path / "records.csv").read_text())
+        assert [row["N"] for row in rows] == ["0"] * 3
+
+    def test_dirichlet_exhaustion_at_the_guarantee_still_raises(self, monkeypatch):
+        from sapprox import cli
+
+        def exhausted(*args):
+            raise SearchExhausted("no solution in the guaranteed box; this is a bug")
+
+        monkeypatch.setattr(cli, "dirichlet_solve", exhausted)
+        cfg = dataclasses.replace(default_config("dirichlet"), sample_count=1)
+        with pytest.raises(SearchExhausted, match="this is a bug"):
+            run(cfg)
 
     def test_dirichlet_mode_deepens_a_short_matrix(self):
         # T_2 = 2**3 needs more 2-adic digits than the one the sampler gives

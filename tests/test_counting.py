@@ -578,6 +578,7 @@ class TestDirichlet:
         assert "bug" not in text
         assert "below the Dirichlet guarantee" in text
         assert f"C_inf = {Fraction(1, 10**40)}" in text and "C_2" not in text
+        assert exc.value.legitimate
 
     def test_height_shells_match_the_cube_scan(self):
         # the reference filters the whole cube [-H, H]**dim for every H

@@ -527,6 +527,51 @@ class TestRealCuts:
                     assert not passes(math.nextafter(cut, math.inf)), (m, n, t_inf, cut)
 
 
+def float_filter_regions() -> list[Region]:
+    """40 seeded random regions, then power-law regions at every (m, n) in
+    {1, 2}**2 and S in {}, {2}, {2, 3}."""
+    rng = random.Random("float-filter")
+    regions = [random_region(rng) for _ in range(40)]
+    for real in (PowerLaw(Fraction(7, 2), Fraction(5, 3)), PowerLaw(Fraction(2), Fraction(1, 2))):
+        for m in (1, 2):
+            for n in (1, 2):
+                for primes in ((), (2,), (2, 3)):
+                    places = PlaceSet(primes)
+                    fin = {p: FiniteApproxFunction(p, m, n, (0, 1)) for p in primes}
+                    psi = ApproxCollection.of(real, fin, m, n)
+                    prof = NormProfile.of(Fraction(9, 2), {p: n for p in primes})
+                    regions.append(Region(psi, prof, places))
+    return regions
+
+
+class TestFloatFilterOracle:
+    """The oracle gives the same hits with psi's float filter as with every
+    band draw decided exactly."""
+
+    def test_same_result_without_the_filter(self, monkeypatch):
+        regions = float_filter_regions()
+        decided = [0]
+        float_leq = PowerLaw.float_leq
+
+        def counting_float_leq(self, m, n):
+            decide = float_leq(self, m, n)
+
+            def counted(ax, ay):
+                got = decide(ax, ay)
+                decided[0] += got is not None
+                return got
+
+            return counted
+
+        monkeypatch.setattr(PowerLaw, "float_leq", counting_float_leq)
+        filtered = [volume_monte_carlo(reg, 2000, seed=i) for i, reg in enumerate(regions)]
+        assert decided[0] > 10_000
+        monkeypatch.setattr(PowerLaw, "float_leq", lambda self, m, n: None)
+        exact = [volume_monte_carlo(reg, 2000, seed=i) for i, reg in enumerate(regions)]
+        for reg, a, b in zip(regions, filtered, exact):
+            assert (a.hits, a.samples, a.box_volume) == (b.hits, b.samples, b.box_volume), reg
+
+
 def finite_test_table() -> list[str]:
     """(hits, samples, box volume) of the oracle on seeded ``finite_test_region``
     regions, every real kind of ``MC_REALS`` in turn."""
