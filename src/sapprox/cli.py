@@ -73,6 +73,46 @@ def _field(name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
+_JSON_KINDS = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def _section(obj: Mapping, key: str, kind: type = dict, default=_REQUIRED):
+    """obj[key], or ``default`` when it is absent, as a JSON object (kind
+    dict) or array (kind list); any other JSON type is a ConfigError naming
+    the key."""
+    if key not in obj and default is _REQUIRED:
+        raise ConfigError(f"{key}: missing field {key!r}")
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        got = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise ConfigError(f"{key}: expected {_JSON_KINDS[kind]}, got {got}")
+    return value
+
+
+def _int(value, name: str) -> int:
+    """A config integer: a JSON integer, an integral number or a decimal
+    string.  A non-integral number or a boolean is a ConfigError naming the
+    field, not truncated."""
+    with _field(name):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+
+
+def _int_pairs(obj: Mapping, key: str) -> tuple[tuple[int, int], ...]:
+    """The JSON object obj[key] (empty when absent) as sorted integer pairs."""
+    return tuple(sorted((_int(k, key), _int(v, key)) for k, v in _section(obj, key, default={}).items()))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Geometric ladder at the real place, exponent-linear at finite places
@@ -213,37 +253,38 @@ class ExperimentConfig:
             places = PlaceSet(tuple(sorted(obj.get("places", []))))
         with _field("dims"):
             dims = tuple(obj["dims"])
+        psi_obj = _section(obj, "psi")
         with _field("psi"):
-            psi = ApproxCollection.from_json(obj["psi"])
+            _section(psi_obj, "finite", default={})
+            psi = ApproxCollection.from_json(psi_obj)
+        sch = _section(obj, "schedule")
         with _field("schedule"):
-            sch = obj["schedule"]
             schedule = Schedule(
                 Fraction(sch["real_start"]),
                 Fraction(sch["real_factor"]),
-                int(sch["steps"]),
-                tuple(sorted((int(p), int(t)) for p, t in sch.get("finite_start", {}).items())),
-                tuple(sorted((int(p), int(s)) for p, s in sch.get("finite_step", {}).items())),
-                tuple(sorted((int(p), int(e)) for p, e in sch.get("finite_every", {}).items())),
+                _int(sch["steps"], "steps"),
+                _int_pairs(sch, "finite_start"),
+                _int_pairs(sch, "finite_step"),
+                _int_pairs(sch, "finite_every"),
             )
+        cong = _section(obj, "congruence", default={})
         with _field("congruence"):
-            cong = obj.get("congruence", {})
-            modulus = int(cong.get("modulus", 1))
-            shift = tuple(Fraction(c) for c in cong.get("shift", []))
+            modulus = _int(cong.get("modulus", 1), "modulus")
+            shift = tuple(Fraction(c) for c in _section(cong, "shift", list, default=[]))
+        sampler = _section(obj, "sampler", default={})
         with _field("sampler"):
-            sampler = obj.get("sampler", {})
-            seed = int(sampler.get("seed", 20260810))
-            precision = tuple(sorted((int(p), int(k)) for p, k in sampler.get("precision", {}).items()))
-            real_resolution = int(sampler.get("real_resolution", 2**64))
-        with _field("sample_count"):
-            sample_count = int(obj.get("sample_count", 20))
-        with _field("mc_samples"):
-            mc_samples = int(obj.get("mc_samples", 100_000))
-        with _field("dirichlet_constants"):
-            consts = obj.get("dirichlet_constants")
-            if consts is not None:
+            seed = _int(sampler.get("seed", 20260810), "seed")
+            precision = _int_pairs(sampler, "precision")
+            real_resolution = _int(sampler.get("real_resolution", 2**64), "real_resolution")
+        sample_count = _int(obj.get("sample_count", 20), "sample_count")
+        mc_samples = _int(obj.get("mc_samples", 100_000), "mc_samples")
+        consts = obj.get("dirichlet_constants")
+        if consts is not None:
+            consts = _section(obj, "dirichlet_constants")
+            with _field("dirichlet_constants"):
                 consts = tuple(
                     sorted(
-                        ((k if k == REAL_PLACE else int(k), Fraction(v)) for k, v in consts.items()),
+                        ((k if k == REAL_PLACE else _int(k, "place"), Fraction(v)) for k, v in consts.items()),
                         key=lambda kv: str(kv[0]),
                     )
                 )
@@ -727,7 +768,7 @@ def _formats(fmt: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
 
 def emit_report(result: RunResult, out_dir: str, formats: Sequence[str]) -> list[str]:
     _check_formats(formats)
-    if not result.records and "json" not in formats:
+    if not result.records and any(fmt != "json" for fmt in formats):
         raise ValueError("no records to report")
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -875,7 +916,10 @@ def main(argv=None) -> int:
         if args.mode == "report":
             path = args.records or os.path.join(args.out or "out", "records.json")
             result = _read_json(path, result_from_json)
-            _emit(result, args.out or result.config.out, _formats(args.format, result.config.formats))
+            try:
+                _emit(result, args.out or result.config.out, _formats(args.format, result.config.formats))
+            except ValueError as exc:  # no records for a format that needs them
+                raise ConfigError(f"{path}: {exc}") from None
             return 0
         config = load_config(args)
         result = run(config, jobs=args.jobs, max_product=max_product)

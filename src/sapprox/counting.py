@@ -225,9 +225,9 @@ class CountRequest:
 class _CrtCache:
     """The CRT basis of fixed, pairwise coprime moduli m_k: their product M
     and the idempotents e_k (1 mod m_k, 0 mod the others), built once.  The
-    counter and the Dirichlet solver fold the rows over the p**K_p, the
-    fibre oracle its draws over its fixed moduli.  The class keeps its name
-    because perfbench's tracer patches ``crt_fold`` by name."""
+    counter and the Dirichlet solver fold the rows over the p**K_p; the
+    fibre oracle folds its draws with the idempotents inline.  The class
+    keeps its name because perfbench's tracer patches ``crt_fold`` by name."""
 
     def __init__(self, moduli: Sequence[int]):
         self.M = M = math.prod(moduli)
@@ -865,7 +865,11 @@ def x_region_volume_mc(
     D = prod p**kappa_p makes D b integral for every admissible b, and with
     a = D q the ball at p is D b = -X_p . a (mod p**(j_p + kappa_p)).  A real
     draw is k / 2**53, so the real window is |k . a + 2**53 D b| <=
-    psi**(1/m) * 2**53 * D, whose threshold is computed once per call."""
+    psi**(1/m) * 2**53 * D, whose threshold is computed once per call.
+
+    Each draw below d is ``getrandbits(k)``, k = d.bit_length(), drawn again
+    while it is >= d: ``randrange``'s own loop, inlined, with the bit lengths
+    and the CRT idempotents taken once per call."""
     check_sample_count(samples)
     if not any(qvec):
         raise ValueError("the fiber region is for nonzero q")
@@ -884,13 +888,31 @@ def x_region_volume_mc(
     res = 2**53
     Ky = psi.real.max_root_leq(sup_norm(qvec) ** n, Fraction((res * D) ** m), m)
     crt = _CrtCache([mod for mod, _ in fin_data])
+    M = crt.M
+    # per place: (p**depth, its bit length, its CRT idempotent)
+    draws = [(depth, depth.bit_length(), e) for (_, depth), e in zip(fin_data, crt.idempotents)]
+    k_res = res.bit_length()
 
     rng = random.Random(derive_seed(seed, "xq"))
+    bits = rng.getrandbits
     hits = 0
     for _ in range(samples):
-        s = sum(rng.randrange(res) * aj for aj in a)
-        r, M = crt.crt_fold([-sum(rng.randrange(depth) * aj for aj in a) for _, depth in fin_data])
-        if _kernel.count_in_ap_int(-((Ky + s) // res), (Ky - s) // res, r, M) >= 1:
+        s = 0
+        for aj in a:
+            x = bits(k_res)
+            while x >= res:
+                x = bits(k_res)
+            s += x * aj
+        r = 0  # the CRT fold of the places' residues -X_p . a
+        for depth, k, e in draws:
+            t = 0
+            for aj in a:
+                x = bits(k)
+                while x >= depth:
+                    x = bits(k)
+                t += x * aj
+            r -= t * e
+        if _kernel.count_in_ap_int(-((Ky + s) // res), (Ky - s) // res, r % M, M) >= 1:
             hits += 1
     phat = hits / samples
     se = math.sqrt(phat * (1 - phat) / samples)

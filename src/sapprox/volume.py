@@ -187,11 +187,21 @@ def contains_pair(region: Region, x_vec: Sequence[Fraction], y_vec: Sequence[Fra
 
 @dataclass(frozen=True, slots=True)
 class MonteCarloResult:
-    estimate: float
-    std_error: float
+    """What the oracle measured; the estimate and its plug-in standard error
+    are derived from it."""
+
     hits: int
     samples: int
     box_volume: Fraction
+
+    @property
+    def estimate(self) -> float:
+        return float(self.box_volume) * (self.hits / self.samples)
+
+    @property
+    def std_error(self) -> float:
+        phat = self.hits / self.samples
+        return float(self.box_volume) * math.sqrt(phat * (1 - phat) / self.samples)
 
 
 def _cover_radius(bound: Fraction, root: int) -> float:
@@ -291,7 +301,8 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     place that cannot reject only draws its residues, with the same
     rejection loops, and takes no gcd: a place whose x test is 0 at every y
     valuation (decided once per call), and every place after a real-place
-    miss.  The loop inlines the residue draws and builds no per-sample list.
+    miss.  The loop inlines the residue draws and builds no per-sample
+    object besides its draws: its ranges are built once per call.
     """
     check_sample_count(samples)
     m, n = region.m, region.n
@@ -341,6 +352,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
     decide = psi.real.float_leq(m, n)  # a band draw has ay**n <= T_inf
     x0, y0 = -rx, -ry
     wx, wy = rx - x0, ry - y0
+    xs, ys = range(m), range(n)
     gcd = math.gcd
 
     hits = 0
@@ -351,11 +363,11 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
         rand, bits = rng.random, rng.getrandbits
         for _ in range(count):
             ax = ay = 0.0
-            for _ in range(m):
+            for _ in xs:
                 v = abs(x0 + wx * rand())
                 if v > ax:
                     ax = v
-            for _ in range(n):
+            for _ in ys:
                 v = abs(y0 + wy * rand())
                 if v > ay:
                     ay = v
@@ -369,20 +381,20 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
                     ok = member(*ax.as_integer_ratio(), *ay.as_integer_ratio())
             for my, ky, mx, kx, x_test in fin_data:
                 if not (ok and x_test):  # this place cannot reject: draw only
-                    for _ in range(n):
+                    for _ in ys:
                         while bits(ky) >= my:
                             pass
-                    for _ in range(m):
+                    for _ in xs:
                         while bits(kx) >= mx:
                             pass
                     continue
                 gy, gx = my, 0
-                for _ in range(n):
+                for _ in ys:
                     r = bits(ky)
                     while r >= my:
                         r = bits(ky)
                     gy = gcd(gy, r)
-                for _ in range(m):
+                for _ in xs:
                     r = bits(kx)
                     while r >= mx:
                         r = bits(kx)
@@ -393,10 +405,7 @@ def volume_monte_carlo(region: Region, samples: int, seed: int) -> MonteCarloRes
                     break
             hits += ok
 
-    phat = hits / samples
-    est = float(box_vol) * phat
-    se = float(box_vol) * math.sqrt(phat * (1 - phat) / samples)
-    return MonteCarloResult(est, se, hits, samples, box_vol)
+    return MonteCarloResult(hits, samples, box_vol)
 
 
 def mc_agrees(exact: VolumeResult, mc: MonteCarloResult) -> bool:

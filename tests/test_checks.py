@@ -16,7 +16,7 @@ S2 = PlaceSet((2,))
 
 def all_hits(box: Fraction, samples: int = 20_000) -> MonteCarloResult:
     """An estimate from a run in which every sample hit: plug-in SE 0."""
-    return MonteCarloResult(float(box), 0.0, samples, samples, box)
+    return MonteCarloResult(samples, samples, box)
 
 
 class TestMcAgrees:
@@ -33,7 +33,7 @@ class TestMcAgrees:
 
     def test_estimate_far_from_the_volume(self):
         box = 2 * self.exact.total
-        mc = MonteCarloResult(float(box) * 0.45, 0.0, 9_000, 20_000, box)
+        mc = MonteCarloResult(9_000, 20_000, box)
         assert not mc_agrees(self.exact, mc)
 
 

@@ -356,6 +356,27 @@ def stored_run(formats=("csv", "json")) -> dict:
     return json.loads(records_to_json(RunResult(cfg, [record], {})))
 
 
+# (field, its wrong value, the usage error); "records" edits a records.json,
+# which the csv report cannot write without records
+WRONG_JSON_TYPES = [
+    ("congruence", ["3"], "congruence: expected an object, got an array"),
+    ("sampler", "24", "sampler: expected an object, got a string"),
+    ("sampler.precision", 24, "sampler: precision: expected an object, got a number"),
+    ("schedule.finite_start", [1], "schedule: finite_start: expected an object, got an array"),
+    ("schedule.finite_step", "1", "schedule: finite_step: expected an object, got a string"),
+    ("schedule.finite_every", 3, "schedule: finite_every: expected an object, got a number"),
+    ("dirichlet_constants", ["1"], "dirichlet_constants: expected an object, got an array"),
+    ("psi.finite", [], "psi: finite: expected an object, got an array"),
+    ("congruence.modulus", 3.5, "congruence: modulus: expected an integer, got 3.5"),
+    ("schedule.steps", 2.7, "schedule: steps: expected an integer, got 2.7"),
+    ("sample_count", 1.9, "sample_count: expected an integer, got 1.9"),
+    ("sampler.precision.2", 24.9, "sampler: precision: expected an integer, got 24.9"),
+    ("sampler.real_resolution", 2.5, "sampler: real_resolution: expected an integer, got 2.5"),
+    ("congruence.shift", "120", "congruence: shift: expected an array, got a string"),
+    ("records", [], "no records to report"),
+]
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize(
         "mode, edit, message",
@@ -401,6 +422,28 @@ class TestBadInputFiles:
             main([mode, flag, str(path), "--out", str(out)])
         assert exc.value.code == 2
         assert message.format(path=path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", WRONG_JSON_TYPES, ids=[f for f, _, _ in WRONG_JSON_TYPES])
+    def test_wrong_json_type_is_a_usage_error(self, field, value, message, tmp_path, monkeypatch, capsys):
+        # a wrong type fails at load: no traceback, no int() truncation, and
+        # no string read one character at a time
+        report = field == "records"
+        obj = stored_run() if report else json.loads((CONFIGS / "congruence-asymptotic.json").read_text())
+        *keys, last = field.split(".")
+        target = obj
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        monkeypatch.setattr("sapprox.cli.run", lambda *a, **k: pytest.fail("a bad config reached run"))
+        mode, flag = ("report", "--records") if report else ("asymptotic", "--config")
+        with pytest.raises(SystemExit) as exc:
+            main([mode, flag, str(path), "--out", str(out), "--format", "csv"])
+        assert exc.value.code == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

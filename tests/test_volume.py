@@ -489,6 +489,33 @@ class TestStreamContract:
         mc = volume_monte_carlo(reg, 300, seed)
         assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 300, seed)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(((), (2,), (2, 3))),
+        st.sampled_from((ConstantOne(), PowerLaw(Fraction(2), Fraction(1)), PowerLaw(Fraction(3), Fraction(1, 2)))),
+        st.data(),
+    )
+    def test_matches_the_reference_loop_up_to_three_dimensions(self, m, n, primes, real, data):
+        # m and n drawn apart up to 3, so a loop that draws x where it
+        # should draw y, at the real place or in the residues, leaves the
+        # stream; every finite head reaches z >= 1
+        fin, exps = {}, {}
+        for p in primes:
+            head, z = [], 0
+            for step in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)):
+                z += step
+                head.append(z)
+            head[-1] = max(head[-1], 1)
+            fin[p] = FiniteApproxFunction(p, m, n, tuple(head))
+            exps[p] = n * data.draw(st.integers(0, 3))
+        t_inf = Fraction(data.draw(st.integers(4, 20)), 4) ** n
+        reg = Region(ApproxCollection.of(real, fin, m, n), NormProfile.of(t_inf, exps), PlaceSet(primes))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mc = volume_monte_carlo(reg, 300, seed)
+        assert (mc.hits, mc.samples, mc.box_volume) == reference_monte_carlo(reg, 300, seed)
+
 
 CUT_REALS = MC_REALS + (
     PowerLaw(Fraction(4), Fraction(2)),
