@@ -923,10 +923,6 @@ class FiniteApproxFunction:
     def to_json(self):
         return {"p": self.p, "head": list(self.head), "tail": list(self.tail)}
 
-    @classmethod
-    def from_json(cls, obj: Mapping, m: int, n: int) -> "FiniteApproxFunction":
-        return cls(obj["p"], m, n, tuple(obj.get("head", ())), tuple(obj.get("tail", ("constant",))))
-
 
 # --------------------------------------------------------------------------
 # collections
@@ -969,15 +965,6 @@ class ApproxCollection:
             "real": self.real.to_json(),
             "finite": {str(p): fn.to_json() for p, fn in self.finite},
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "ApproxCollection":
-        m, n = obj["m"], obj["n"]
-        fin = {
-            int(p): FiniteApproxFunction.from_json(spec, m, n)
-            for p, spec in obj.get("finite", {}).items()
-        }
-        return cls.of(real_from_json(obj["real"]), fin, m, n)
 
 
 def psi_one(places: PlaceSet, m: int, n: int) -> ApproxCollection:

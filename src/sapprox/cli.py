@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .approx import ApproxCollection, IntegralUndecidable, diverges, psi_one
+from .approx import (
+    ApproxCollection,
+    FiniteApproxFunction,
+    IntegralUndecidable,
+    diverges,
+    psi_one,
+    real_from_json,
+)
 from .counting import (
     CountRequest,
     SearchExhausted,
@@ -111,6 +118,23 @@ def _int(value, name: str) -> int:
 def _int_pairs(obj: Mapping, key: str) -> tuple[tuple[int, int], ...]:
     """The JSON object obj[key] (empty when absent) as sorted integer pairs."""
     return tuple(sorted((_int(k, key), _int(v, key)) for k, v in _section(obj, key, default={}).items()))
+
+
+def psi_from_json(obj: Mapping) -> ApproxCollection:
+    """The ``psi`` section: m, n and each place's p read by ``_int``, and
+    each place's head and tail read as JSON arrays."""
+    m, n = _int(obj["m"], "m"), _int(obj["n"], "n")
+    finite, fin = _section(obj, "finite", default={}), {}
+    for key in finite:
+        with _field("finite"):
+            spec = _section(finite, key)
+            with _field(key):
+                p = _int(spec["p"], "p")
+                head = tuple(_section(spec, "head", list, default=[]))
+                tail = tuple(_section(spec, "tail", list, default=["constant"]))
+            place = _int(key, "place")
+        fin[place] = FiniteApproxFunction(p, m, n, head, tail)
+    return ApproxCollection.of(real_from_json(obj["real"]), fin, m, n)
 
 
 @dataclass(frozen=True)
@@ -249,14 +273,13 @@ class ExperimentConfig:
     def from_json(cls, obj: Mapping) -> "ExperimentConfig":
         with _field("mode"):
             mode = obj["mode"]
+        primes = sorted(_int(p, "places") for p in _section(obj, "places", list, default=[]))
         with _field("places"):
-            places = PlaceSet(tuple(sorted(obj.get("places", []))))
-        with _field("dims"):
-            dims = tuple(obj["dims"])
+            places = PlaceSet(tuple(primes))
+        dims = tuple(_int(d, "dims") for d in _section(obj, "dims", list))
         psi_obj = _section(obj, "psi")
         with _field("psi"):
-            _section(psi_obj, "finite", default={})
-            psi = ApproxCollection.from_json(psi_obj)
+            psi = psi_from_json(psi_obj)
         sch = _section(obj, "schedule")
         with _field("schedule"):
             schedule = Schedule(
@@ -303,11 +326,11 @@ class ExperimentConfig:
             mc_samples=mc_samples,
             dirichlet_constants=consts,
             out=obj.get("out", "out"),
-            formats=tuple(obj.get("formats", ("csv", "json"))),
+            formats=tuple(_section(obj, "formats", list, default=["csv", "json"])),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One ladder step of one A-sample.  A sample's steps are counted in
     one pass, so ``elapsed`` holds the whole pass (with any deepening) on

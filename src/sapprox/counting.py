@@ -430,7 +430,9 @@ def count_solutions(
         k G + rho, row i counts 2k + 1 - (z > rho) + (z >= G - rho).  The
         fibre count never falls as Ky grows, so a count of 0, or one equal
         to the count at K_min, is the count at Ky, and only the other a of an
-        open bracket take the per-a decision."""
+        open bracket take the per-a decision.  Two rows under a closed
+        bracket, which is every walk of a constant psi with m = 2, take a
+        loop of their own that keeps both residues in locals."""
         last = a + (count - 1) * D
         near, far = sorted((a, last), key=abs)
         K_min = threshold(max(mo, abs(far)))[0]
@@ -438,6 +440,19 @@ def count_solutions(
         open_bracket = K_min != K_max
         k, rho = divmod(K_max, G)
         base, top = 2 * k + 1, G - rho
+
+        if m == 2 and not open_bracket:
+            (z1, z2), (d1, d2) = zs, ds
+            total = 0
+            for _ in range(count):
+                z1 += d1
+                if z1 >= G:
+                    z1 -= G
+                z2 += d2
+                if z2 >= G:
+                    z2 -= G
+                total += (base - (z1 > rho) + (z1 >= top)) * (base - (z2 > rho) + (z2 >= top))
+            return total
 
         def fibre(Ky):
             c = 1

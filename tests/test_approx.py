@@ -32,6 +32,7 @@ from sapprox.approx import (
     psi_one,
 )
 from sapprox.checks import check_loglaw_filter
+from sapprox.cli import psi_from_json
 from sapprox.counting import x_region_bound
 from sapprox.sring import NormProfile, PlaceSet
 from sapprox.volume import Region, volume_exact
@@ -779,7 +780,7 @@ class TestJsonRoundTrip:
         ]
         for psi in examples:
             if psi.finite:
-                assert ApproxCollection.from_json(psi.to_json()) == psi
+                assert psi_from_json(psi.to_json()) == psi
             else:
-                round_tripped = ApproxCollection.from_json(psi.to_json())
+                round_tripped = psi_from_json(psi.to_json())
                 assert round_tripped.real == psi.real

@@ -227,6 +227,19 @@ class TestConfig:
         shipped = json.loads((CONFIGS / f"{name}.json").read_text())
         assert ExperimentConfig.from_json(shipped) == default_config(mode)
 
+    def test_integral_numbers_read_as_integers(self):
+        # 2.0 in an integer field reads as 2: it neither reaches the sampler
+        # as a float nor comes back as 2.0 in records.json
+        shipped = json.loads((CONFIGS / "congruence-asymptotic.json").read_text())
+        obj = json.loads(json.dumps(shipped))
+        obj["places"], obj["dims"] = [2.0], [2.0, 1.0]
+        obj["psi"].update(m=2.0, n=1.0)
+        obj["psi"]["finite"]["2"]["p"] = 2.0
+        config = ExperimentConfig.from_json(obj)
+        assert json.dumps(config.to_json()) == json.dumps(shipped)
+        one_step = dataclasses.replace(config.schedule, steps=1)
+        assert run(dataclasses.replace(config, sample_count=1, schedule=one_step)).records[0].count > 0
+
     def test_asymptotic_requires_divergent_integral(self):
         S = PlaceSet((2,))
         convergent = ApproxCollection.of(
@@ -373,6 +386,15 @@ WRONG_JSON_TYPES = [
     ("sampler.precision.2", 24.9, "sampler: precision: expected an integer, got 24.9"),
     ("sampler.real_resolution", 2.5, "sampler: real_resolution: expected an integer, got 2.5"),
     ("congruence.shift", "120", "congruence: shift: expected an array, got a string"),
+    ("psi.m", 2.5, "psi: m: expected an integer, got 2.5"),
+    ("psi.n", True, "psi: n: expected an integer, got True"),
+    ("dims", [2, 1.5], "dims: expected an integer, got 1.5"),
+    ("psi.finite.2.p", 2.5, "psi: finite: 2: p: expected an integer, got 2.5"),
+    ("places", "2", "places: expected an array, got a string"),
+    ("dims", "21", "dims: expected an array, got a string"),
+    ("formats", "csv", "formats: expected an array, got a string"),
+    ("psi.finite.2.head", "12", "psi: finite: 2: head: expected an array, got a string"),
+    ("psi.finite.2.tail", "constant", "psi: finite: 2: tail: expected an array, got a string"),
     ("records", [], "no records to report"),
 ]
 

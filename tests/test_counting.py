@@ -380,6 +380,38 @@ def walk_ladders(draw):
     return dataclasses.replace(req, matrix=sample_matrix(deep)), ladder
 
 
+@st.composite
+def two_row_requests(draw):
+    """A request with m = 2 and a constant real psi, so that every walk is
+    the two-row loop of a closed bracket.  N is 1, 2, 3 or 5; psi = 1 with
+    N = 2 puts the threshold's residue rho at G/2, where top = G - rho is
+    rho itself.  The real entries are multiples of 1/res, res in {4, 8}, so
+    G = R M N stays small: with S = {inf}, G = R N and a row with a nonzero
+    entry steps its residue by a nonzero multiple of N, so a progression of
+    R a carries it past G; T_inf runs from res N / 2 to 2 res N."""
+    places = PlaceSet(draw(st.sampled_from([(), (2,), (3,)])))
+    N = draw(st.sampled_from([N for N in (1, 2, 3, 5) if places.admissible_modulus(N)]))
+    c = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 4)]))
+    real = ConstantOne() if c == 1 else Scaled(ConstantOne(), c, 1)
+    psi = ApproxCollection.of(real, {p: FiniteApproxFunction(p, 2, 1) for p in places.primes}, 2, 1)
+    shift = draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.integers(0, N - 1).map(Fraction), min_size=3, max_size=3),
+        )
+    )
+    res = draw(st.sampled_from([4, 8]))
+    prof = NormProfile.of(
+        Fraction(draw(st.integers(res * N // 2, 2 * res * N))),
+        {p: draw(st.integers(-1, 1)) for p in places.primes},
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    shallow = SamplerConfig.of(seed, (2, 1), places, {p: 1 for p in places.primes}, res)
+    req = CountRequest(places, sample_matrix(shallow), psi, prof, N, tuple(shift))
+    need = {p: max(k, 1) for p, k in precision_needed(req).items()}
+    return dataclasses.replace(req, matrix=sample_matrix(SamplerConfig.of(seed, (2, 1), places, need, res)))
+
+
 class TestWalk:
     @settings(max_examples=100, deadline=None)
     @given(walk_ladders())
@@ -388,6 +420,12 @@ class TestWalk:
         steps = [dataclasses.replace(req, profile=prof) for prof in ladder]
         assume(sum(bruteforce_cost(one) for one in steps) <= 30_000)
         assert count_solutions(req, ladder) == [count_solutions_bruteforce(one) for one in steps]
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_row_requests())
+    def test_two_row_walk_matches_brute_force(self, req):
+        assume(bruteforce_cost(req) <= 30_000)
+        assert count_solutions(req) == count_solutions_bruteforce(req)
 
 
 class TestPsiOneIdentity:
