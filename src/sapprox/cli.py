@@ -124,7 +124,8 @@ def psi_from_json(obj: Mapping) -> ApproxCollection:
     """The ``psi`` section: m, n and each place's p read by ``_int``, and
     each place's head and tail read as JSON arrays."""
     m, n = _int(obj["m"], "m"), _int(obj["n"], "n")
-    finite, fin = _section(obj, "finite", default={}), {}
+    finite = _section(obj, "finite", default={})
+    fin = {}
     for key in finite:
         with _field("finite"):
             spec = _section(finite, key)
